@@ -256,8 +256,8 @@ def cmd_verify(args) -> int:
         "stationarity": report.as_dict(),
         "passed": report.passed,
     }
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    print()
+    # serialize before writing: a NaN raises ValueError (exit 4), not half a document
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK if report.passed else EXIT_DRIFT
 
 

@@ -80,6 +80,8 @@ def type1_state(
         raise TypeMismatch(f"expected Type 1 parameters, got {params.walk_type}")
     phi1 = complex(phi1)
     phi3 = complex(phi3)
+    if not (cmath.isfinite(phi1) and cmath.isfinite(phi3)):
+        raise ValueError(f"seeds must be finite, got phi1={phi1!r}, phi3={phi3!r}")
     if abs(phi1) + abs(phi3) == 0.0:
         raise DegenerateSeeds("phi1 and phi3 are both zero")
 
@@ -100,14 +102,33 @@ def type2_state(
 
     ``seeds`` maps sites to left amplitudes; absent sites read as zero.  On
     a window -W..W the value at -W-1 is also consulted (the right amplitude
-    lags by one site); on a cycle, indices wrap.
+    lags by one site); on a cycle of N sites only keys 0..N-1 are read and
+    the lag wraps.  Every seed value must be finite.
     """
     if params.walk_type is not WalkType.TYPE2:
         raise TypeMismatch(f"expected Type 2 parameters, got {params.walk_type}")
 
-    xs = topology.sites()
-    phi = np.array([complex(seeds.get(topology.wrap(int(x)), 0.0)) for x in xs])
-    phi_prev = np.array([complex(seeds.get(topology.wrap(int(x) - 1), 0.0)) for x in xs])
+    try:
+        keys = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
+    except OverflowError:
+        raise ValueError("seed site index does not fit in 64 bits") from None
+    values = np.fromiter(seeds.values(), dtype=np.complex128, count=len(seeds))
+    if not np.isfinite(values).all():
+        raise ValueError("seed values must be finite")
+
+    # seeds by site; on a window one extra slot in front holds site -W-1
+    if isinstance(topology, Cycle):
+        first, size = 0, topology.n
+    else:
+        first, size = -topology.half_width - 1, topology.n_sites + 1
+    padded = np.zeros(size, dtype=np.complex128)
+    idx = keys - first
+    inside = (idx >= 0) & (idx < size)
+    padded[idx[inside]] = values[inside]
+    if isinstance(topology, Cycle):
+        phi, phi_prev = padded, np.roll(padded, 1)
+    else:
+        phi, phi_prev = padded[1:], padded[:-1]
     if np.abs(phi).max(initial=0.0) == 0.0 and np.abs(phi_prev).max(initial=0.0) == 0.0:
         raise DegenerateSeeds("seed sequence is identically zero on the topology")
 

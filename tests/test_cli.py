@@ -259,6 +259,25 @@ class TestVerify:
         )
         assert code == EXIT_DRIFT
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--type", "1", "--phi1", "nan"],
+            ["--type", "1", "--phi3", "1e999"],
+            ["--type", "2", "--seeds", "nan_seeds.json"],
+        ],
+    )
+    def test_non_finite_seeds_are_input_errors(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan_seeds.json").write_text(
+            json.dumps({"values": {"0": [1.0, 0.0], "3": [float("nan"), 0.0]}})
+        )
+        code = main(["verify", "--coin", "grover", "--topology", "cycle:12", *args])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_window_too_small_is_input_error(self, capsys):
         code = main(
             [

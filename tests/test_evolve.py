@@ -136,7 +136,52 @@ class TestEigenResidual:
             eigen_residual(coin, state, 0.9)
 
 
+def step_loop_drift(coin, state, n_steps):
+    """Max measure drift and leaked norm of n_steps calls to the oracle step."""
+    mu0 = (np.abs(state.amplitudes) ** 2).sum(axis=1)
+    n = len(mu0)
+    windowed = isinstance(state.topology, Window)
+    current = state
+    drift = 0.0
+    for k in range(1, n_steps + 1):
+        current = step(coin, current)
+        mu = (np.abs(current.amplitudes) ** 2).sum(axis=1)
+        lo, hi = (k, n - k) if windowed else (0, n)
+        drift = max(drift, np.abs(mu[lo:hi] - mu0[lo:hi]).max())
+    return drift, max(0.0, mu0.sum() - current.norm_squared())
+
+
 class TestVerifyStationary:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        topology=st.one_of(st.integers(3, 64).map(Cycle), st.integers(2, 40).map(Window)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_step_loop(self, seed, topology, data):
+        rng = np.random.default_rng(seed)
+        coin = random_coin(rng)
+        state = random_state(topology, rng)
+        before = state.amplitudes.copy()
+        if isinstance(topology, Window):
+            n_steps = data.draw(st.integers(1, topology.half_width - 1))
+        else:
+            n_steps = data.draw(st.integers(1, 64))
+        report = verify_stationary(coin, state, n_steps)
+        drift, leaked = step_loop_drift(coin, state, n_steps)
+        scale = 1e-12 * (np.abs(before) ** 2).sum(axis=1).max()
+        assert abs(report.max_measure_drift - drift) <= scale
+        assert abs(report.leaked_norm - leaked) <= scale
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("topology", [Cycle(12), Window(8)])
+    def test_nan_amplitude_fails(self, topology):
+        amps = np.ones((topology.n_sites, 3), dtype=complex)
+        amps[topology.n_sites // 2, 1] = np.nan
+        report = verify_stationary(grover(), WaveState(topology, amps), 3)
+        assert np.isnan(report.max_measure_drift)
+        assert report.passed is False
+
     def test_grover_cycle_long_run(self):
         coin = grover()
         state = type1_state(coin, type1_params(coin), 0.7, 0.2 + 0.1j, Cycle(30))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwstat import (
@@ -88,6 +88,15 @@ class TestType1State:
         coin = grover()
         with pytest.raises(TypeMismatch):
             type1_state(coin, type2_params(coin), 1, 0, Cycle(5))
+
+    @pytest.mark.parametrize(
+        "phi1, phi3",
+        [(math.nan, 1.0), (1.0, math.inf), (complex(0.0, math.nan), 0.0), (-math.inf, 0.0)],
+    )
+    def test_non_finite_seeds_rejected(self, phi1, phi3):
+        coin = grover()
+        with pytest.raises(ValueError, match="finite"):
+            type1_state(coin, type1_params(coin), phi1, phi3, Cycle(5))
 
     def test_unimodular_profile_moduli(self):
         # |left(x)| = |phi1| and |right(x)| = |phi3| at every site
@@ -180,6 +189,38 @@ class TestType2State:
         coin = grover()
         with pytest.raises(TypeMismatch):
             type2_state(coin, type1_params(coin), {0: 1.0}, Cycle(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_seeds_rejected(self, bad):
+        coin = grover()
+        with pytest.raises(ValueError, match="finite"):
+            type2_state(coin, type2_params(coin), {0: 1.0, 1: bad}, Cycle(5))
+
+    def test_site_key_beyond_int64_rejected(self):
+        coin = grover()
+        with pytest.raises(ValueError, match="64 bits"):
+            type2_state(coin, type2_params(coin), {0: 1.0, 2**70: 1.0}, Cycle(5))
+
+    @given(
+        topology=st.one_of(
+            st.integers(3, 40).map(Cycle), st.integers(1, 30).map(Window)
+        ),
+        seeds=st.dictionaries(st.integers(-70, 70), seed_values, max_size=40),
+    )
+    @example(topology=Cycle(5), seeds={-1: 1.0, 5: 2.0, 4: 3.0, 0: 1j, 7: -1.0})
+    @example(topology=Window(3), seeds={-4: 1.0, -5: 2.0, 4: 3.0, 0: 1j, -40: 5.0})
+    @settings(max_examples=80, deadline=None)
+    def test_seed_lookup_matches_per_site_lookup(self, topology, seeds):
+        # reference: look every site and its left neighbour up one at a time
+        xs = topology.sites()
+        phi = np.array([complex(seeds.get(topology.wrap(int(x)), 0.0)) for x in xs])
+        prev = np.array([complex(seeds.get(topology.wrap(int(x) - 1), 0.0)) for x in xs])
+        assume(np.abs(phi).max() > 0 or np.abs(prev).max() > 0)
+        coin = grover()
+        p = type2_params(coin)
+        state = type2_state(coin, p, seeds, topology)
+        assert np.array_equal(state.amplitudes[:, 0], phi)
+        assert np.array_equal(state.amplitudes[:, 2], p.lam / p.a_tilde_1 * prev)
 
     @pytest.mark.parametrize("coin", [grover(), stefanak_eta(1.3), stefanak_rho(0.25)])
     def test_stay_component_consistency(self, coin):
