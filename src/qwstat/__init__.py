@@ -2,7 +2,7 @@
 
 The package splits into:
 
-- :mod:`qwstat.coin` -- 3x3 unitary coins, built-in families, row split, minors
+- :mod:`qwstat.coin` -- 3x3 unitary coins, built-in families, minors
 - :mod:`qwstat.reduced` -- the 2x2 reduced matrix and Type 1 / Type 2 classification
 - :mod:`qwstat.stationary` -- closed-form eigenstates, measures, periodicity
 - :mod:`qwstat.evolve` -- brute-force evolution oracle and stationarity checks
@@ -13,13 +13,11 @@ The package splits into:
 from .coin import (
     CoinMatrix,
     Minors,
-    ShiftSplit,
     fourier,
     grover,
     make_coin,
     minors,
     random_coin,
-    split,
     stefanak_eta,
     stefanak_rho,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "__version__",
     # coins
     "CoinMatrix",
-    "ShiftSplit",
     "Minors",
     "make_coin",
     "grover",
@@ -73,7 +70,6 @@ __all__ = [
     "stefanak_eta",
     "stefanak_rho",
     "random_coin",
-    "split",
     "minors",
     # classification
     "WalkType",

@@ -36,6 +36,7 @@ from .serialize import (
 )
 from .state import Cycle, Topology, Window
 from .stationary import (
+    closed_form_applies,
     closed_form_measure_a1,
     closed_form_measure_type2,
     detect_period,
@@ -92,20 +93,25 @@ def parse_topology(text: str) -> Topology:
     raise UsageError(f"bad topology {text!r} (want cycle:N or window:W)")
 
 
+# one-parameter coin families: name -> (constructor, option holding the parameter)
+_PARAM_FAMILIES = {
+    "stefanak-eta": (stefanak_eta, "eta"),
+    "stefanak-rho": (stefanak_rho, "rho"),
+}
+
+
 def load_coin(args) -> CoinMatrix:
     name = args.coin
     if name == "grover":
         return grover()
     if name == "fourier":
         return fourier()
-    if name == "stefanak-eta":
-        if args.eta is None:
-            raise UsageError("--coin stefanak-eta needs --eta")
-        return stefanak_eta(args.eta)
-    if name == "stefanak-rho":
-        if args.rho is None:
-            raise UsageError("--coin stefanak-rho needs --rho")
-        return stefanak_rho(args.rho)
+    if name in _PARAM_FAMILIES:
+        make, option = _PARAM_FAMILIES[name]
+        value = getattr(args, option)
+        if value is None:
+            raise UsageError(f"--coin {name} needs --{option}")
+        return make(value)
     if name.startswith("custom:"):
         path = Path(name[len("custom:"):])
         try:
@@ -153,17 +159,31 @@ def build_state(args, coin: CoinMatrix, topology: Topology):
 
 def closed_form_column(args, coin, topology, seeds) -> np.ndarray | None:
     """Reference column for the measure when a closed form applies."""
+    phi1 = phi3 = None
+    if args.type == 1:
+        phi1, phi3 = parse_complex(args.phi1), parse_complex(args.phi3)
+    if not closed_form_applies(coin, args.type, phi1, phi3):
+        return None
     sites = topology.sites()
-    if args.type == 2 and coin.family in ("grover", "stefanak-eta", "stefanak-rho"):
+    if args.type == 2:
         return np.array(
             [closed_form_measure_type2(coin, seeds, int(x), topology) for x in sites]
         )
-    if args.type == 1 and coin.family == "stefanak-eta":
-        phi1 = parse_complex(args.phi1)
-        if phi1 == parse_complex(args.phi3):
-            eta = coin.family_param
-            return np.array([closed_form_measure_a1(eta, phi1, int(x)) for x in sites])
-    return None
+    return np.array([closed_form_measure_a1(coin.family_param, phi1, int(x)) for x in sites])
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code a failure maps to."""
+    if isinstance(exc, (InconsistentLambda, NonUnimodularLambda)):
+        return EXIT_CLASSIFY
+    if isinstance(exc, SquareConditionFailed):
+        return EXIT_SQUARE
+    return EXIT_INPUT
+
+
+def _json_text(doc: dict) -> str:
+    """The CLI's JSON form of doc; a NaN or infinity raises ValueError (exit 4)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -184,7 +204,7 @@ def cmd_classify(args) -> int:
     coin = load_coin(args)
     wanted = [1, 2] if args.type == "both" else [int(args.type)]
     report: dict = {"schema": 1, "coin": args.coin}
-    failures: list[Exception] = []
+    failures: list[int] = []
     for t, fn in ((1, type1_params), (2, type2_params)):
         if t not in wanted:
             continue
@@ -192,18 +212,17 @@ def cmd_classify(args) -> int:
             params = fn(coin)
             print(_params_line(f"type {t}", params))
             report[f"type{t}"] = reduced_params_to_json(params)
-        except (InconsistentLambda, NonUnimodularLambda, SquareConditionFailed) as exc:
+        except QWalkError as exc:
             print(f"type {t}: FAILED {type(exc).__name__}: {exc}")
-            failures.append(exc)
+            failures.append(_exit_code(exc))
             report[f"type{t}"] = {"error": type(exc).__name__, "message": str(exc)}
     if args.json:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
-    if not failures:
-        return EXIT_OK
-    if any(isinstance(e, (InconsistentLambda, NonUnimodularLambda)) for e in failures):
-        return EXIT_CLASSIFY
-    return EXIT_SQUARE
+        sys.stdout.write(_json_text(report))
+    # out-of-scope coin first, then eigenvalue failures, then the square condition
+    for code in (EXIT_INPUT, EXIT_CLASSIFY, EXIT_SQUARE):
+        if code in failures:
+            return code
+    return EXIT_OK
 
 
 def cmd_stationary(args) -> int:
@@ -224,17 +243,14 @@ def cmd_stationary(args) -> int:
         doc = measure_to_json(measure)
         if closed is not None:
             doc["closed_form"] = {str(int(x)): float(c) for x, c in zip(measure.sites, closed)}
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        payload = _json_text(doc)
 
     if args.out is None:
         sys.stdout.write(payload)
     else:
         _atomic_write(Path(args.out), payload)
     if args.state_out is not None:
-        _atomic_write(
-            Path(args.state_out),
-            json.dumps(state_to_json(state), indent=2, sort_keys=True) + "\n",
-        )
+        _atomic_write(Path(args.state_out), _json_text(state_to_json(state)))
 
     period = detect_period(measure)
     print(f"period: {period if period is not None else 'none'}", file=sys.stderr)
@@ -256,8 +272,7 @@ def cmd_verify(args) -> int:
         "stationarity": report.as_dict(),
         "passed": report.passed,
     }
-    # serialize before writing: a NaN raises ValueError (exit 4), not half a document
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(doc))
     return EXIT_OK if report.passed else EXIT_DRIFT
 
 
@@ -282,18 +297,16 @@ def parse_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.coin not in ("stefanak-eta", "stefanak-rho"):
-        raise UsageError("sweep supports --coin stefanak-eta or stefanak-rho")
+    if args.coin not in _PARAM_FAMILIES:
+        raise UsageError("sweep supports --coin " + " or ".join(_PARAM_FAMILIES))
+    option = _PARAM_FAMILIES[args.coin][1]
     topology = parse_topology(args.topology)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     points = []
     for value in parse_grid(args):
         sub = argparse.Namespace(**vars(args))
-        if args.coin == "stefanak-eta":
-            sub.eta = value
-        else:
-            sub.rho = value
+        setattr(sub, option, value)
         coin = load_coin(sub)
         state, params, seeds = build_state(sub, coin, topology)
         measure = measure_of(state)
@@ -322,14 +335,13 @@ def cmd_sweep(args) -> int:
         "topology": args.topology,
         "points": points,
     }
-    _atomic_write(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(outdir / "summary.json", _json_text(summary))
     print(f"wrote {len(points)} measures to {outdir}")
     return EXIT_OK
 
 
 def cmd_defaults(_args) -> int:
-    json.dump(DEFAULTS, sys.stdout, indent=2, sort_keys=True)
-    print()
+    sys.stdout.write(_json_text(DEFAULTS))
     return EXIT_OK
 
 
@@ -408,15 +420,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InconsistentLambda, NonUnimodularLambda) as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return EXIT_CLASSIFY
-    except SquareConditionFailed as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return EXIT_SQUARE
     except (UsageError, QWalkError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = _exit_code(exc)
+        label = "error" if code == EXIT_INPUT else "classification failed"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

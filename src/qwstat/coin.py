@@ -1,9 +1,8 @@
-"""Three-state coin matrices: construction, validation, and decomposition.
+"""Three-state coin matrices: construction, validation, and minors.
 
 A coin is a 3x3 complex unitary driving the internal degree of freedom of a
 one-dimensional walk.  The three rows feed the left-moving, staying, and
-right-moving channels, so the row split ``A = P + R + Q`` is what the walk
-operator actually applies.  Four built-in families are provided:
+right-moving channels.  Four built-in families are provided:
 
 - :func:`grover` and :func:`fourier`, the two classic coins,
 - :func:`stefanak_eta` and :func:`stefanak_rho`, one-parameter deformations
@@ -23,7 +22,6 @@ from .errors import DomainError, NonUnitary
 __all__ = [
     "UNITARITY_TOL",
     "CoinMatrix",
-    "ShiftSplit",
     "Minors",
     "make_coin",
     "grover",
@@ -31,7 +29,6 @@ __all__ = [
     "stefanak_eta",
     "stefanak_rho",
     "random_coin",
-    "split",
     "minors",
 ]
 
@@ -52,7 +49,6 @@ class CoinMatrix:
     """
 
     matrix: np.ndarray
-    unitarity_tol: float = UNITARITY_TOL
     family: str | None = None
     family_param: float | None = None
 
@@ -72,15 +68,6 @@ class CoinMatrix:
     def unitarity_deviation(self) -> float:
         """Max entrywise deviation of A A* from the identity."""
         return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(3)).max())
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftSplit:
-    """Row split A = P + R + Q (left-move, stay, right-move channels)."""
-
-    P: np.ndarray
-    R: np.ndarray
-    Q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,15 +108,13 @@ def make_coin(
         If the deviation exceeds ``tol``.  The matrix is stored as given,
         so a silently broken input cannot masquerade as a repaired one.
     """
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.shape != (3, 3):
-        raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    coin = CoinMatrix(entries, family=family, family_param=family_param)
+    if not np.all(np.isfinite(coin.matrix.view(np.float64))):
         raise ValueError("coin matrix contains non-finite entries")
-    dev = float(np.abs(m @ m.conj().T - np.eye(3)).max())
+    dev = coin.unitarity_deviation()
     if dev > tol:
         raise NonUnitary(dev, tol)
-    return CoinMatrix(m, unitarity_tol=tol, family=family, family_param=family_param)
+    return coin
 
 
 def grover() -> CoinMatrix:
@@ -206,22 +191,6 @@ def random_coin(rng: np.random.Generator | None = None) -> CoinMatrix:
     q, r = np.linalg.qr(z)
     q = q * np.exp(-1j * np.angle(np.diag(r)))[None, :]
     return make_coin(q)
-
-
-def split(coin: CoinMatrix) -> ShiftSplit:
-    """Row split of the coin into the three shift channels.
-
-    P keeps row 1 (left-move), R row 2 (stay), Q row 3 (right-move); the
-    other rows are zero.  Pure row extraction, so P + R + Q reproduces the
-    coin with no floating-point error.
-    """
-    parts = []
-    for row in range(3):
-        m = np.zeros((3, 3), dtype=np.complex128)
-        m[row] = coin.matrix[row]
-        m.setflags(write=False)
-        parts.append(m)
-    return ShiftSplit(*parts)
 
 
 def minors(coin: CoinMatrix) -> Minors:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coin import CoinMatrix
-from .errors import NonUnimodularLambda, WindowTooSmall
+from .errors import WindowTooSmall
+from .reduced import _check_unimodular
 from .state import Cycle, WaveState, Window
 
 __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
@@ -54,8 +55,7 @@ def eigen_residual(coin: CoinMatrix, state: WaveState, lam: complex) -> float:
     norm localizes a violation to a site instead of smearing it.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-10:
-        raise NonUnimodularLambda(lam)
+    _check_unimodular(lam)
     diff = step(coin, state).amplitudes - lam * state.amplitudes
     if isinstance(state.topology, Window):
         diff = diff[1:-1]
@@ -112,7 +112,7 @@ def verify_stationary(
 
     drifts, norm0, norm = _drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
     drift = float(drifts.max())  # NaN propagates, so a NaN state cannot pass
-    leaked = max(0.0, norm0 - norm)
+    leaked = float(np.maximum(norm0 - norm, 0.0))  # clamps round-off, keeps a NaN
     if windowed:
         interior = (-topo.half_width + n_steps, topo.half_width - n_steps)
     else:

@@ -18,6 +18,9 @@ in closed form:
   resulting two-step recursion additionally forces lambda^2 = a1 a2; coins
   violating that (the Fourier coin does) admit no Type 2 eigenstate.
 
+Swapping columns 1 and 3 of the coin turns its Type 1 candidates -C/a13,
+-D/a31 and entries a1, a2 into the Type 2 ones above, so both types run one
+classifier: Type 2 runs it on the swapped coin and adds the square condition.
 Both classifications need every coin entry nonzero.
 """
 
@@ -99,12 +102,11 @@ def reduced_matrix(coin: CoinMatrix, lam: complex) -> ReducedMatrix:
 
     Raises ZeroEntry / CentralReflection when the coin is outside the scope
     of the reduction, and NonUnimodularLambda when |lambda| is more than
-    1e-10 off the unit circle.
+    CONSISTENCY_TOL off the unit circle.
     """
     _require_reducible(coin)
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > CONSISTENCY_TOL:
-        raise NonUnimodularLambda(lam)
+    _check_unimodular(lam)
     a = coin.matrix
     m = minors(coin)
     top = np.array(
@@ -119,9 +121,45 @@ def reduced_matrix(coin: CoinMatrix, lam: complex) -> ReducedMatrix:
     return ReducedMatrix(entries, lam)
 
 
-def _check_unimodular(lam: complex, tol: float) -> None:
+def _check_unimodular(lam: complex, tol: float = CONSISTENCY_TOL) -> None:
+    """Raise NonUnimodularLambda unless |lam| is within tol of 1."""
     if abs(abs(lam) - 1.0) > tol:
         raise NonUnimodularLambda(lam)
+
+
+# Per walk type: the eigenvalue candidates named as in the paper, and the
+# shape the reduced matrix must take at lambda.
+_LABELS = {
+    WalkType.TYPE1: ("-C/a13 vs -D/a31", "diagonal"),
+    WalkType.TYPE2: ("B/a11 vs E/a33", "anti-diagonal"),
+}
+
+
+def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParams:
+    """Type 1 classification of the coin, or for Type 2 of the coin with
+    columns 1 and 3 swapped, where -C/a13, -D/a31 and the diagonal entries
+    a1, a2 are the Type 2 candidates and anti-diagonal entries."""
+    candidates, shape = _LABELS[walk_type]
+    _require_reducible(coin)
+    if walk_type is WalkType.TYPE2:
+        coin = CoinMatrix(coin.matrix[:, ::-1])
+    a = coin.matrix
+    m = minors(coin)
+    lam1 = -m.C / a[0, 2]
+    lam2 = -m.D / a[2, 0]
+    if abs(lam1 - lam2) > tol:
+        raise InconsistentLambda(lam1, lam2, candidates)
+    _check_unimodular(lam1, tol)
+    a1 = a[0, 0] - a[0, 2] * a[1, 0] / a[1, 2]
+    a2 = a[2, 2] - a[1, 2] * a[2, 0] / a[1, 0]
+    if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > tol:
+        raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
+
+    rm = reduced_matrix(coin, lam1).entries
+    if np.abs(rm - np.diag([a1, a2])).max() > tol:
+        raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
+
+    return ReducedParams(walk_type, complex(lam1), complex(a1), complex(a2), abs(lam1 - lam2))
 
 
 def type1_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParams:
@@ -132,24 +170,7 @@ def type1_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParam
     guard, the reduced matrix at lambda is recomputed and must actually be
     diagonal with those entries.
     """
-    _require_reducible(coin)
-    a = coin.matrix
-    m = minors(coin)
-    lam1 = -m.C / a[0, 2]
-    lam2 = -m.D / a[2, 0]
-    if abs(lam1 - lam2) > tol:
-        raise InconsistentLambda(lam1, lam2, "-C/a13 vs -D/a31")
-    _check_unimodular(lam1, tol)
-    a1 = a[0, 0] - a[0, 2] * a[1, 0] / a[1, 2]
-    a2 = a[2, 2] - a[1, 2] * a[2, 0] / a[1, 0]
-
-    rm = reduced_matrix(coin, lam1).entries
-    off = max(abs(rm[0, 1]), abs(rm[1, 0]))
-    drift = max(abs(rm[0, 0] - a1), abs(rm[1, 1] - a2))
-    if off > tol or drift > tol:
-        raise InconsistentLambda(lam1, lam2, "reduced matrix is not diagonal with (a1, a2)")
-
-    return ReducedParams(WalkType.TYPE1, complex(lam1), complex(a1), complex(a2), abs(lam1 - lam2))
+    return _classify(coin, WalkType.TYPE1, tol)
 
 
 def type2_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParams:
@@ -160,23 +181,4 @@ def type2_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParam
     closes the anti-diagonal two-step recursion; SquareConditionFailed
     carries the computed lambda, a1, a2 so callers can report them.
     """
-    _require_reducible(coin)
-    a = coin.matrix
-    m = minors(coin)
-    lam1 = m.B / a[0, 0]
-    lam2 = m.E / a[2, 2]
-    if abs(lam1 - lam2) > tol:
-        raise InconsistentLambda(lam1, lam2, "B/a11 vs E/a33")
-    _check_unimodular(lam1, tol)
-    a1 = a[0, 2] - a[0, 0] * a[1, 2] / a[1, 0]
-    a2 = a[2, 0] - a[1, 0] * a[2, 2] / a[1, 2]
-    if abs(lam1 * lam1 - a1 * a2) > tol:
-        raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
-
-    rm = reduced_matrix(coin, lam1).entries
-    diag = max(abs(rm[0, 0]), abs(rm[1, 1]))
-    drift = max(abs(rm[0, 1] - a1), abs(rm[1, 0] - a2))
-    if diag > tol or drift > tol:
-        raise InconsistentLambda(lam1, lam2, "reduced matrix is not anti-diagonal with (a1, a2)")
-
-    return ReducedParams(WalkType.TYPE2, complex(lam1), complex(a1), complex(a2), abs(lam1 - lam2))
+    return _classify(coin, WalkType.TYPE2, tol)

@@ -7,7 +7,6 @@ round-trips doubles exactly.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Mapping
 
 import numpy as np
@@ -145,8 +144,3 @@ def reduced_params_to_json(params: ReducedParams) -> dict:
         "a2": _pair(params.a_tilde_2),
         "residual": params.residual,
     }
-
-
-def dump(obj: dict, out: IO[str]) -> None:
-    json.dump(obj, out, indent=2, sort_keys=True)
-    out.write("\n")

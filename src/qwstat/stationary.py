@@ -164,17 +164,37 @@ def closed_form_measure_a1(eta: float, phi1: complex, x: int) -> float:
     return (2.0 + (4.0 + 9.0 * math.tan(eta) ** 2) * t * t) * abs(complex(phi1)) ** 2
 
 
-# Type 2 measure coefficients: mu(x) = c_sq (|phi_x|^2 + |phi_{x-1}|^2)
-#                                      + c_cross Re(phi_x conj phi_{x-1})
-def _type2_coefficients(coin: CoinMatrix) -> tuple[float, float]:
-    if coin.family in ("grover", "stefanak-eta"):
-        return 1.25, 0.5
-    if coin.family == "stefanak-rho":
-        r2 = float(coin.family_param) ** 2
-        return (2.0 - r2) / (2.0 * (1.0 - r2)), r2 / (1.0 - r2)
-    raise UnsupportedFamily(
-        f"no Type 2 closed-form measure for family {coin.family!r}"
-    )
+# Closed-form measures by coin family (Stefanak, Bezdekova and Jex, PRA 90,
+# 012342 (2014)).  Type 1: stefanak_eta with equal seeds.  Type 2: the
+# coefficients (c_sq, c_cross) of
+#     mu(x) = c_sq (|phi_x|^2 + |phi_{x-1}|^2) + c_cross Re(phi_x conj phi_{x-1})
+# as a function of the family parameter.
+def _rho_coefficients(rho: float) -> tuple[float, float]:
+    r2 = float(rho) ** 2
+    return (2.0 - r2) / (2.0 * (1.0 - r2)), r2 / (1.0 - r2)
+
+
+_TYPE1_FAMILIES = ("stefanak-eta",)
+_TYPE2_COEFFICIENTS = {
+    "grover": lambda _: (1.25, 0.5),
+    "stefanak-eta": lambda _: (1.25, 0.5),
+    "stefanak-rho": _rho_coefficients,
+}
+
+
+def closed_form_applies(
+    coin: CoinMatrix, walk_type: int, phi1: complex, phi3: complex
+) -> bool:
+    """Whether a closed-form measure exists for this coin, walk type and seeds.
+
+    Type 1: closed_form_measure_a1(coin.family_param, phi1, x), for
+    stefanak_eta coins with phi1 = phi3.  Type 2:
+    closed_form_measure_type2(coin, seeds, x, topology), for the families
+    it supports.  Not exported; the CLI uses it to pick its reference column.
+    """
+    if walk_type == 2:
+        return coin.family in _TYPE2_COEFFICIENTS
+    return coin.family in _TYPE1_FAMILIES and phi1 == phi3
 
 
 def closed_form_measure_type2(
@@ -189,7 +209,12 @@ def closed_form_measure_type2(
     stefanak_rho has rho-dependent coefficients.  Pass the topology when
     the seeds live on a cycle so the x-1 lookup wraps.
     """
-    c_sq, c_cross = _type2_coefficients(coin)
+    coefficients = _TYPE2_COEFFICIENTS.get(coin.family)
+    if coefficients is None:
+        raise UnsupportedFamily(
+            f"no Type 2 closed-form measure for family {coin.family!r}"
+        )
+    c_sq, c_cross = coefficients(coin.family_param)
     wrap = topology.wrap if topology is not None else int
     px = complex(seeds.get(wrap(int(x)), 0.0))
     pp = complex(seeds.get(wrap(int(x) - 1), 0.0))

@@ -1,0 +1,43 @@
+"""Every exported name, and every hook the benchmark wraps, must resolve.
+
+A deleted or renamed function that ``__all__`` still lists, or that the
+benchmark's span recorder (``perfbench/spans.py``) still wraps, fails here
+instead of at import time or in a traced benchmark run.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import qwstat
+
+MODULES = ["qwstat"] + [
+    f"qwstat.{m.name}" for m in pkgutil.iter_modules(qwstat.__path__) if m.name != "__main__"
+]
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def _span_hooks() -> list[tuple[str, str, str]]:
+    """The (module, attribute, group) entries of spans.py, read without importing it."""
+    tables = {
+        node.targets[0].id: node.value
+        for node in ast.parse(SPANS.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    return [ast.literal_eval(tables["_ROOT"]), *ast.literal_eval(tables["WRAPPED"])]
+
+
+def test_benchmark_hooks_resolve():
+    hooks = _span_hooks()
+    assert len(hooks) > 1
+    missing = [(m, a) for m, a, _ in hooks if not hasattr(importlib.import_module(m), a)]
+    assert missing == []

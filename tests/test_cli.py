@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qwstat import grover, measure_of
+from qwstat import grover, make_coin, measure_of
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -81,6 +81,18 @@ class TestClassify:
         path.write_text(json.dumps(bad))
         assert main(["classify", "--coin", f"custom:{path}"]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_scope_coin_still_reports_json(self, tmp_path, capsys):
+        # the identity has zero entries, so neither classification applies
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(coin_to_json(make_coin(np.eye(3)))))
+        assert main(["classify", "--coin", f"custom:{path}", "--json"]) == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert "type 1: FAILED ZeroEntry" in out and "type 2: FAILED ZeroEntry" in out
+        doc = json.loads(out[out.index("{"):])
+        for key in ("type1", "type2"):
+            assert doc[key]["error"] == "ZeroEntry"
+            assert "a12" in doc[key]["message"]
 
     def test_missing_family_parameter(self, capsys):
         assert main(["classify", "--coin", "stefanak-eta"]) == EXIT_INPUT

@@ -12,7 +12,6 @@ from qwstat import (
     make_coin,
     minors,
     random_coin,
-    split,
     stefanak_eta,
     stefanak_rho,
 )
@@ -111,25 +110,6 @@ class TestMakeCoin:
             grover().matrix[0, 0] = 0
 
 
-class TestSplit:
-    def test_lossless(self):
-        for coin in (grover(), fourier(), stefanak_eta(0.3), stefanak_rho(0.7)):
-            s = split(coin)
-            assert np.array_equal(s.P + s.R + s.Q, coin.matrix)
-
-    def test_row_structure(self):
-        s = split(grover())
-        assert np.array_equal(s.P[1:], np.zeros((2, 3)))
-        assert np.array_equal(s.R[0], np.zeros(3))
-        assert np.array_equal(s.R[2], np.zeros(3))
-        assert np.array_equal(s.Q[:2], np.zeros((2, 3)))
-        assert np.allclose(s.P[0], [-1 / 3, 2 / 3, 2 / 3], atol=1e-15)
-
-    def test_identity_stay_row(self):
-        s = split(make_coin(np.eye(3)))
-        assert np.array_equal(s.R[1], np.array([0, 1, 0], dtype=complex))
-
-
 class TestMinors:
     def test_grover(self):
         m = minors(grover())
@@ -158,10 +138,3 @@ class TestRandomCoin:
         a = random_coin(np.random.default_rng(5)).matrix
         b = random_coin(np.random.default_rng(5)).matrix
         assert np.array_equal(a, b)
-
-    def test_split_lossless_for_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            coin = random_coin(rng)
-            s = split(coin)
-            assert np.array_equal(s.P + s.R + s.Q, coin.matrix)

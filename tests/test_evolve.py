@@ -172,6 +172,7 @@ class TestVerifyStationary:
         scale = 1e-12 * (np.abs(before) ** 2).sum(axis=1).max()
         assert abs(report.max_measure_drift - drift) <= scale
         assert abs(report.leaked_norm - leaked) <= scale
+        assert report.leaked_norm >= 0.0
         assert np.array_equal(state.amplitudes, before)
 
     @pytest.mark.parametrize("topology", [Cycle(12), Window(8)])
@@ -180,6 +181,7 @@ class TestVerifyStationary:
         amps[topology.n_sites // 2, 1] = np.nan
         report = verify_stationary(grover(), WaveState(topology, amps), 3)
         assert np.isnan(report.max_measure_drift)
+        assert np.isnan(report.leaked_norm)
         assert report.passed is False
 
     def test_grover_cycle_long_run(self):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwstat import (
     CentralReflection,
     InconsistentLambda,
     NonUnimodularLambda,
+    QWalkError,
     SquareConditionFailed,
     WalkType,
     ZeroEntry,
@@ -213,3 +216,97 @@ class TestStructuralIdentities:
         for coin in (grover(), stefanak_eta(1.1), stefanak_rho(0.45)):
             p = type2_params(coin)
             assert abs(abs(p.a_tilde_1 * p.a_tilde_2) - 1) < 1e-10
+
+
+def paper_params(coin, walk_type, tol=1e-10):
+    """(lam, a1, a2, residual) from the paper's formulas, written out per type."""
+    a = coin.matrix
+    for i in range(3):
+        for j in range(3):
+            if abs(a[i, j]) <= 1e-14:
+                raise ZeroEntry(i + 1, j + 1)
+    if abs(abs(a[1, 1]) - 1.0) <= 1e-10:
+        raise CentralReflection(abs(a[1, 1]))
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    B = complex(a11 * a22 - a12 * a21)
+    C = complex(a12 * a23 - a13 * a22)
+    D = complex(a21 * a32 - a22 * a31)
+    E = complex(a22 * a33 - a23 * a32)
+    if walk_type == 1:
+        lam1, lam2, detail = -C / a13, -D / a31, "-C/a13 vs -D/a31"
+        a1, a2 = a11 - a13 * a21 / a23, a33 - a23 * a31 / a21
+    else:
+        lam1, lam2, detail = B / a11, E / a33, "B/a11 vs E/a33"
+        a1, a2 = a13 - a11 * a23 / a21, a31 - a21 * a33 / a23
+    if abs(lam1 - lam2) > tol:
+        raise InconsistentLambda(lam1, lam2, detail)
+    if abs(abs(lam1) - 1.0) > tol:
+        raise NonUnimodularLambda(lam1)
+    if walk_type == 2 and abs(lam1 * lam1 - a1 * a2) > tol:
+        raise SquareConditionFailed(lam1, a1, a2)
+    top = [[lam1 * a11 - B, lam1 * a13 + C], [lam1 * a31 + D, lam1 * a33 - E]]
+    rm = np.array(top) / (lam1 - a22)
+    expected = np.diag([a1, a2]) if walk_type == 1 else np.array([[0, a1], [a2, 0]])
+    if np.abs(rm - expected).max() > tol:
+        shape = "diagonal" if walk_type == 1 else "anti-diagonal"
+        raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
+    return lam1, a1, a2, abs(lam1 - lam2)
+
+
+def classification_outcome(coin, walk_type):
+    """Compare the library with paper_params; return the exception class or None."""
+    fn = type1_params if walk_type == 1 else type2_params
+    try:
+        want = paper_params(coin, walk_type)
+    except QWalkError as exc:
+        with pytest.raises(QWalkError) as got:
+            fn(coin)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return type(exc)
+    p = fn(coin)
+    assert p.walk_type is WalkType(walk_type)
+    assert (p.lam, p.a_tilde_1, p.a_tilde_2, p.residual) == want
+    return None
+
+
+def relabelled(coin, rng):
+    """The coin under a random global phase and a random conjugation D A D*
+    by a diagonal unitary, which keep its type."""
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return make_coin(phase * d[:, None] * coin.matrix * d.conj()[None, :])
+
+
+FAMILY_COINS = [
+    grover(),
+    fourier(),
+    *(stefanak_eta(eta) for eta in np.linspace(0.1, 3.0, 12)),
+    *(stefanak_rho(rho) for rho in np.linspace(0.05, 0.95, 12)),
+]
+
+
+class TestPaperFormulas:
+    """One classifier serves both types; it must keep the paper's results."""
+
+    @pytest.mark.parametrize("walk_type", [1, 2])
+    def test_family_grid_and_relabellings(self, walk_type):
+        rng = np.random.default_rng(7 + walk_type)
+        seen = set()
+        for coin in FAMILY_COINS:
+            outcome = classification_outcome(coin, walk_type)
+            for _ in range(3):
+                assert classification_outcome(relabelled(coin, rng), walk_type) is outcome
+            seen.add(outcome)
+        assert None in seen
+        if walk_type == 2:
+            assert SquareConditionFailed in seen
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_haar_coins(self, seed):
+        rng = np.random.default_rng(seed)
+        coin = random_coin(rng)
+        for walk_type in (1, 2):
+            classification_outcome(coin, walk_type)
+

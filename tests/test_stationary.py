@@ -31,6 +31,7 @@ from qwstat import (
     type2_params,
     type2_state,
 )
+from qwstat.stationary import closed_form_applies
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -325,6 +326,31 @@ class TestClosedFormType2:
                 closed_form_measure_type2(coin, seeds, x, Cycle(16)), abs=1e-10
             )
 
+    @given(
+        topology=st.one_of(
+            st.integers(3, 40).map(Cycle), st.integers(1, 30).map(Window)
+        ),
+        seeds=st.dictionaries(st.integers(-70, 70), seed_values, max_size=40),
+    )
+    @example(topology=Cycle(5), seeds={-1: 1.0, 5: 2.0, 4: 3.0, 0: 1j, 7: -1.0})
+    @example(topology=Window(3), seeds={-4: 1.0, -5: 2.0, 4: 3.0, 0: 1j, -40: 5.0})
+    @settings(max_examples=80, deadline=None)
+    def test_per_site_values_match_constructed_measure(self, topology, seeds):
+        # the closed form reads seeds one site at a time, type2_state through
+        # one array: a cycle wraps the lag, a window reads site -W-1, and keys
+        # off the topology are ignored by both
+        xs = topology.sites()
+        read = {topology.wrap(int(x)) for x in xs} | {topology.wrap(int(xs[0]) - 1)}
+        for coin in (grover(), stefanak_eta(0.8), stefanak_rho(0.35)):
+            params = type2_params(coin)
+            if not any(seeds.get(k, 0) for k in read):
+                with pytest.raises(DegenerateSeeds):
+                    type2_state(coin, params, seeds, topology)
+                continue
+            mu = measure_of(type2_state(coin, params, seeds, topology)).values
+            closed = [closed_form_measure_type2(coin, seeds, int(x), topology) for x in xs]
+            np.testing.assert_allclose(closed, mu, rtol=1e-12, atol=1e-12)
+
     def test_eta_grid_constructed_measures_agree_and_coincide(self):
         rng = np.random.default_rng(14)
         topo = Cycle(10)
@@ -338,6 +364,19 @@ class TestClosedFormType2:
             measures.append(mu.values)
         for other in measures[1:]:
             assert np.abs(other - measures[0]).max() < 1e-9
+
+
+class TestClosedFormApplies:
+    def test_type1_needs_stefanak_eta_and_equal_seeds(self):
+        assert closed_form_applies(stefanak_eta(0.4), 1, 0.5j, 0.5j)
+        assert not closed_form_applies(stefanak_eta(0.4), 1, 1.0, 2.0)
+        for coin in (grover(), fourier(), stefanak_rho(0.5)):
+            assert not closed_form_applies(coin, 1, 1.0, 1.0)
+
+    def test_type2_families(self):
+        for coin in (grover(), stefanak_eta(0.4), stefanak_rho(0.5)):
+            assert closed_form_applies(coin, 2, None, None)
+        assert not closed_form_applies(fourier(), 2, None, None)
 
 
 class TestDetectPeriod:
