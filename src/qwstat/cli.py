@@ -279,9 +279,12 @@ def cmd_verify(args) -> int:
 def parse_grid(args) -> list[float]:
     if args.values is not None:
         try:
-            return [float(v) for v in args.values.split(",") if v]
+            values = [float(v) for v in args.values.split(",") if v]
         except ValueError as exc:
             raise UsageError(f"bad --values: {exc}")
+        if not values:
+            raise UsageError("--values lists no values")
+        return values
     if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
@@ -301,10 +304,11 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep supports --coin " + " or ".join(_PARAM_FAMILIES))
     option = _PARAM_FAMILIES[args.coin][1]
     topology = parse_topology(args.topology)
+    grid = parse_grid(args)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     points = []
-    for value in parse_grid(args):
+    for value in grid:
         sub = argparse.Namespace(**vars(args))
         setattr(sub, option, value)
         coin = load_coin(sub)

@@ -113,14 +113,17 @@ def measure_to_csv(
     closed_form: np.ndarray | None = None,
 ) -> None:
     """Write ``x,mu`` rows (plus ``mu_closed_form`` when supplied)."""
+    # tolist() yields Python ints and floats; repr round-trips a double exactly
+    xs = measure.sites.tolist()
+    mus = measure.values.tolist()
     if closed_form is None:
-        out.write("x,mu\n")
-        for x, v in zip(measure.sites, measure.values):
-            out.write(f"{int(x)},{float(v)!r}\n")
+        header = "x,mu\n"
+        rows = [f"{x},{v!r}\n" for x, v in zip(xs, mus)]
     else:
-        out.write("x,mu,mu_closed_form\n")
-        for x, v, c in zip(measure.sites, measure.values, closed_form):
-            out.write(f"{int(x)},{float(v)!r},{float(c)!r}\n")
+        header = "x,mu,mu_closed_form\n"
+        closed = np.asarray(closed_form, dtype=np.float64).tolist()
+        rows = [f"{x},{v!r},{c!r}\n" for x, v, c in zip(xs, mus, closed)]
+    out.write(header + "".join(rows))
 
 
 def seeds_to_json(seeds: Mapping[int, complex]) -> dict:

@@ -224,9 +224,15 @@ def closed_form_measure_type2(
 def detect_period(measure: Measure, max_period: int | None = None) -> int | None:
     """Smallest p <= max_period with mu(x + p) = mu(x) everywhere, or None.
 
-    Equality is within PERIOD_TOL absolute, so seeds of order one are
-    assumed.  p = 1 means the measure is uniform.  ``max_period`` defaults
+    Equality is within PERIOD_TOL relative to max(mu), so the answer does
+    not depend on the scale of the seeds; an all-zero measure needs exact
+    equality.  p = 1 means the measure is uniform.  ``max_period`` defaults
     to half the number of sites and may not exceed it.
+
+    On a cycle of n sites the shifts that leave the measure unchanged form a
+    subgroup of Z_n, whose smallest positive element divides n, so only the
+    divisors of n are tried.  On a window every p is tried and comparisons
+    do not wrap.
     """
     v = measure.values
     n = len(v)
@@ -234,13 +240,16 @@ def detect_period(measure: Measure, max_period: int | None = None) -> int | None
         max_period = n // 2
     if not 1 <= max_period <= n // 2:
         raise ValueError(f"max_period must be in [1, {n // 2}], got {max_period}")
+    tol = PERIOD_TOL * v.max(initial=0.0)
     on_cycle = isinstance(measure.topology, Cycle)
     for p in range(1, max_period + 1):
+        if on_cycle and n % p:
+            continue
+        dev = np.abs(v[p:] - v[:-p]).max()
         if on_cycle:
-            dev = np.abs(np.roll(v, -p) - v).max()
-        else:
-            dev = np.abs(v[p:] - v[:-p]).max()
-        if dev <= PERIOD_TOL:
+            # the pairs that wrap: mu(x + p - n) against mu(x) for x >= n - p
+            dev = max(dev, np.abs(v[:p] - v[n - p :]).max())
+        if dev <= tol:
             return p
     return None
 

@@ -389,6 +389,17 @@ class TestSweep:
             == EXIT_INPUT
         )
 
+    @pytest.mark.parametrize("values", ["", ","])
+    def test_sweep_rejects_empty_values(self, tmp_path, values):
+        outdir = tmp_path / "sweep"
+        assert (
+            main(["sweep", "--coin", "stefanak-rho", "--type", "1",
+                  "--values", values, "--outdir", str(outdir)])
+            == EXIT_INPUT
+        )
+        assert not outdir.exists()
+        assert not (outdir / "summary.json").exists()
+
 
 class TestMisc:
     def test_defaults_document(self, capsys):

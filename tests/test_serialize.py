@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwstat import (
     Cycle,
@@ -112,6 +114,41 @@ def test_csv_floats_round_trip():
     measure_to_csv(mu, buf)
     for line, v in zip(buf.getvalue().splitlines()[1:], mu.values):
         assert float(line.split(",")[1]) == v
+
+
+def per_row_csv(measure, closed_form=None):
+    """The CSV text written one f-string row at a time from numpy scalars."""
+    if closed_form is None:
+        rows = [f"{int(x)},{float(v)!r}\n" for x, v in zip(measure.sites, measure.values)]
+        return "x,mu\n" + "".join(rows)
+    rows = [
+        f"{int(x)},{float(v)!r},{float(c)!r}\n"
+        for x, v, c in zip(measure.sites, measure.values, closed_form)
+    ]
+    return "x,mu,mu_closed_form\n" + "".join(rows)
+
+
+weights = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e300, 1 / 3, 1e16, 1e-5]),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_measure_csv_bytes_match_per_row_format(data):
+    if data.draw(st.booleans()):
+        topology = Cycle(data.draw(st.integers(3, 40)))
+    else:
+        topology = Window(data.draw(st.integers(1, 20)))  # sites below zero
+    n = topology.n_sites
+    mu = Measure(topology, data.draw(st.lists(weights, min_size=n, max_size=n)))
+    closed = None
+    if data.draw(st.booleans()):
+        closed = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
+    buf = io.StringIO(newline="")
+    measure_to_csv(mu, buf, closed)
+    assert buf.getvalue() == per_row_csv(mu, closed)
 
 
 def test_seeds_round_trip():

@@ -31,7 +31,7 @@ from qwstat import (
     type2_params,
     type2_state,
 )
-from qwstat.stationary import closed_form_applies
+from qwstat.stationary import PERIOD_TOL, closed_form_applies
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -411,6 +411,93 @@ class TestDetectPeriod:
         mu = Measure(Cycle(p * reps * 2), np.tile(block, reps * 2))
         found = detect_period(mu)
         assert found is not None and p % found == 0
+
+    def test_all_zero_measure_needs_exact_equality(self):
+        assert detect_period(Measure(Cycle(6), np.zeros(6))) == 1
+        assert detect_period(Measure(Cycle(6), [0.0, 0.0, 0.0, 0.0, 0.0, 5e-324])) is None
+
+    def test_tolerance_is_relative_to_the_largest_weight(self):
+        block = np.array([1.0, 1.0 + 1e-9, 1.0])
+        for scale in (1e-12, 1.0, 1e12):
+            assert detect_period(Measure(Cycle(12), scale * np.tile(block, 4))) == 3
+            flat = scale * np.tile([1.0, 1.0 + 1e-11, 1.0], 4)
+            assert detect_period(Measure(Cycle(12), flat)) == 1
+
+    def test_ramp_below_tolerance_is_uniform_on_a_window_only(self):
+        # each step is below the tolerance, but on a cycle the pair that wraps
+        # sees the whole rise
+        ramp = 1.0 + 0.3 * PERIOD_TOL * np.arange(13)
+        assert detect_period(Measure(Window(6), ramp)) == 1
+        assert detect_period(Measure(Cycle(12), ramp[:12])) is None
+
+    @pytest.mark.parametrize("exponent", range(-8, 9))
+    def test_fourier_period_three_at_every_seed_scale(self, exponent):
+        s = 10.0**exponent
+        coin = fourier()
+        state = type1_state(coin, type1_params(coin), s * OMEGA, s * OMEGA**2, Cycle(3000))
+        assert detect_period(measure_of(state)) == 3
+
+    @pytest.mark.parametrize("exponent", range(-8, 9))
+    @pytest.mark.parametrize("topology", [Window(50), Cycle(12)])
+    def test_grover_uniform_at_every_seed_scale(self, exponent, topology):
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), 10.0**exponent, 0.0, topology)
+        assert detect_period(measure_of(state)) == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_scan(self, data):
+        mu, max_period, block = data.draw(periodic_or_aperiodic_measures())
+        found = detect_period(mu, max_period)
+        assert found == brute_force_period(mu, max_period)
+        if found is not None and isinstance(mu.topology, Cycle):
+            assert mu.topology.n % found == 0
+        if block is not None and block <= max_period:
+            assert found is not None and block % found == 0
+
+
+def brute_force_period(measure, max_period):
+    """Every shift 1..max_period, compared through np.roll on cycles."""
+    v = measure.values
+    tol = PERIOD_TOL * v.max(initial=0.0)
+    for p in range(1, max_period + 1):
+        if isinstance(measure.topology, Cycle):
+            dev = np.abs(np.roll(v, -p) - v).max()
+        else:
+            dev = np.abs(v[p:] - v[:-p]).max()
+        if dev <= tol:
+            return p
+    return None
+
+
+@st.composite
+def periodic_or_aperiodic_measures(draw):
+    """(measure, max_period, block length or None when aperiodic).
+
+    Periodic measures repeat a random block; on a cycle its length divides
+    n, on a window it need not.  Noise, when added, is 1e-4 of the tolerance.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 400))
+        topology = Cycle(n)
+        lengths = [d for d in range(1, n + 1) if n % d == 0]
+    else:
+        topology = Window(draw(st.integers(1, 200)))
+        n = topology.n_sites
+        lengths = list(range(1, n + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tiled", "noisy", "aperiodic"]))
+    if kind == "aperiodic":
+        block = None
+        values = rng.uniform(0.5, 1.5, n)
+    else:
+        block = draw(st.sampled_from(lengths))
+        values = np.resize(rng.uniform(0.5, 1.5, block), n)
+        if kind == "noisy":
+            values *= 1.0 + 1e-4 * PERIOD_TOL * rng.uniform(-1.0, 1.0, n)
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    max_period = draw(st.integers(1, n // 2))
+    return Measure(topology, scale * values), max_period, block
 
 
 class TestFourierCycle:
