@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import json
 import os
@@ -114,23 +115,28 @@ def load_coin(args) -> CoinMatrix:
         return make(value)
     if name.startswith("custom:"):
         path = Path(name[len("custom:"):])
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read coin file {path}: {exc}")
-        return coin_from_json(obj)
+        return _read_json_file(path, "coin", coin_from_json)
     raise UsageError(f"unknown coin {name!r}")
 
 
 def load_seeds(args) -> dict[int, complex]:
     if args.seeds is None:
         return {0: 1.0 + 0.0j}
-    path = Path(args.seeds)
+    return _read_json_file(Path(args.seeds), "seeds", seeds_from_json)
+
+
+def _read_json_file(path: Path, what: str, parse):
+    """parse() of the JSON document in path.  A file that cannot be read, is
+    not JSON, or does not have the structure parse() expects raises a
+    UsageError naming the file (exit 4)."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read seeds file {path}: {exc}")
-    return seeds_from_json(obj)
+        raise UsageError(f"cannot read {what} file {path}: {exc}")
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what} file {path}: {exc}")
 
 
 def resolve_tol(explicit: float | None) -> float:
@@ -305,9 +311,12 @@ def cmd_sweep(args) -> int:
     option = _PARAM_FAMILIES[args.coin][1]
     topology = parse_topology(args.topology)
     grid = parse_grid(args)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # Every point is computed before anything is written, so a grid value
+    # that fails leaves no output directory and no partial sweep behind.
+    # CSV text is rendered only as each file is written, so at most one is
+    # held in memory.
     points = []
+    columns = []  # (CSV name, measure, closed-form column) per point
     for value in grid:
         sub = argparse.Namespace(**vars(args))
         setattr(sub, option, value)
@@ -317,9 +326,7 @@ def cmd_sweep(args) -> int:
         closed = closed_form_column(sub, coin, topology, seeds)
 
         name = f"{args.coin.replace('-', '_')}_{value:.6f}.csv"
-        buf = io.StringIO()
-        measure_to_csv(measure, buf, closed)
-        _atomic_write(outdir / name, buf.getvalue())
+        columns.append((name, measure, closed))
 
         max_diff = (
             float(np.abs(measure.values - closed).max()) if closed is not None else None
@@ -339,7 +346,14 @@ def cmd_sweep(args) -> int:
         "topology": args.topology,
         "points": points,
     }
-    _atomic_write(outdir / "summary.json", _json_text(summary))
+    summary_text = _json_text(summary)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, measure, closed in columns:
+        buf = io.StringIO()
+        measure_to_csv(measure, buf, closed)
+        _atomic_write(outdir / name, buf.getvalue())
+    _atomic_write(outdir / "summary.json", summary_text)
     print(f"wrote {len(points)} measures to {outdir}")
     return EXIT_OK
 
@@ -349,7 +363,13 @@ def cmd_defaults(_args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qwstat argument parser, built on the first call and shared after.
+
+    Sharing it is safe because parse_args keeps no state between calls: each
+    call fills a fresh Namespace and applies the defaults again.
+    """
     parser = argparse.ArgumentParser(
         prog="qwstat",
         description="Stationary measures of three-state quantum walks.",
@@ -420,8 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one qwstat command and return its exit code.
+
+    Every call in a process shares one parser (see build_parser), so code
+    that calls main in a loop pays for building it once.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, QWalkError, ValueError, OSError) as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,18 +46,28 @@ class CoinMatrix:
     through ``a33`` (1-indexed, row first).  ``family``/``family_param`` tag
     coins built by the family constructors so that family-specific closed
     forms can recognize them.
+
+    Construction raises ValueError for a wrong shape or a non-finite entry,
+    and NonUnitary when the max entrywise deviation of A A* from the identity
+    exceeds ``tol``, an init-only argument that the coin does not keep.
     """
 
     matrix: np.ndarray
     family: str | None = None
     family_param: float | None = None
+    tol: InitVar[float] = UNITARITY_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol: float):
         m = np.array(self.matrix, dtype=np.complex128)
         if m.shape != (3, 3):
             raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(np.float64))):
+            raise ValueError("coin matrix contains non-finite entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        dev = self.unitarity_deviation()
+        if dev > tol:
+            raise NonUnitary(dev, tol)
 
     def __getattr__(self, name: str) -> complex:
         # a11 .. a33 read straight from the matrix
@@ -108,13 +118,7 @@ def make_coin(
         If the deviation exceeds ``tol``.  The matrix is stored as given,
         so a silently broken input cannot masquerade as a repaired one.
     """
-    coin = CoinMatrix(entries, family=family, family_param=family_param)
-    if not np.all(np.isfinite(coin.matrix.view(np.float64))):
-        raise ValueError("coin matrix contains non-finite entries")
-    dev = coin.unitarity_deviation()
-    if dev > tol:
-        raise NonUnitary(dev, tol)
-    return coin
+    return CoinMatrix(entries, family=family, family_param=family_param, tol=tol)
 
 
 def grover() -> CoinMatrix:

@@ -26,6 +26,7 @@ Both classifications need every coin entry nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,7 +143,9 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     candidates, shape = _LABELS[walk_type]
     _require_reducible(coin)
     if walk_type is WalkType.TYPE2:
-        coin = CoinMatrix(coin.matrix[:, ::-1])
+        # A column permutation leaves A A* unchanged, so the swapped copy is
+        # as unitary as the coin, which passed its own tolerance when built.
+        coin = CoinMatrix(coin.matrix[:, ::-1], tol=math.inf)
     a = coin.matrix
     m = minors(coin)
     lam1 = -m.C / a[0, 2]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qwstat import grover, make_coin, measure_of
+from qwstat import cli, grover, make_coin, measure_of
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -14,6 +14,7 @@ from qwstat.cli import (
     EXIT_OK,
     EXIT_SQUARE,
     UsageError,
+    build_parser,
     main,
     parse_complex,
     parse_topology,
@@ -400,6 +401,19 @@ class TestSweep:
         assert not outdir.exists()
         assert not (outdir / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "coin, values",
+        [("stefanak-rho", "nan"), ("stefanak-eta", "nan"), ("stefanak-rho", "0.5,2")],
+    )
+    def test_failed_point_writes_nothing(self, tmp_path, coin, values):
+        outdir = tmp_path / "sweep"
+        assert (
+            main(["sweep", "--coin", coin, "--type", "1", "--topology", "cycle:12",
+                  "--values", values, "--outdir", str(outdir)])
+            == EXIT_INPUT
+        )
+        assert not outdir.exists()
+
 
 class TestMisc:
     def test_defaults_document(self, capsys):
@@ -424,3 +438,75 @@ class TestMisc:
              "--phi1", "0", "--phi3", "0"]
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "kind, doc",
+        [
+            ("seeds", {"values": {"0": 5}}),
+            ("seeds", {"values": {"0": [None, 1]}}),
+            ("seeds", {"values": [1, 2]}),
+            ("coin", {"matrix": 3}),
+            ("coin", [[1, 0], [0, 1]]),
+        ],
+    )
+    def test_malformed_input_file(self, tmp_path, capsys, kind, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        if kind == "seeds":
+            argv = ["verify", "--coin", "grover", "--type", "2", "--seeds", str(path)]
+        else:
+            argv = ["classify", "--coin", f"custom:{path}"]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: malformed {kind} file {path}: " in captured.err
+
+
+class TestParserReuse:
+    """Every main call in a process shares one parser; none may see another's
+    arguments, defaults or environment."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, monkeypatch, capsys):
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"values": {"2": [0.5, -1.0], "3": [1.0, 0.25]}}))
+        verify = ["verify", "--coin", "fourier", "--type", "1", "--topology", "cycle:10",
+                  "--steps", "10"]
+        type2 = ["stationary", "--coin", "grover", "--topology", "cycle:8"]
+        # (QWSTAT_TOL or None, argv, expected exit code)
+        calls = [
+            (None, [*verify, "--tol", "100"], EXIT_OK),
+            ("50", verify, EXIT_OK),
+            (None, verify, EXIT_DRIFT),
+            (None, [*type2, "--type", "2", "--seeds", str(seeds)], EXIT_OK),
+            (None, [*type2, "--type", "2"], EXIT_OK),
+            (None, [*type2, "--type", "3"], "argparse exit 2"),
+            (None, [*type2, "--type", "1"], EXIT_OK),
+            (None, ["classify", "--coin", "stefanak-rho", "--rho", "0.4", "--json"], EXIT_OK),
+            (None, ["classify", "--coin", "grover"], EXIT_OK),
+            (None, ["classify", "--coin", "stefanak-rho"], EXIT_INPUT),
+        ]
+
+        def run_all():
+            results = []
+            for env_tol, argv, _ in calls:
+                if env_tol is None:
+                    monkeypatch.delenv("QWSTAT_TOL", raising=False)
+                else:
+                    monkeypatch.setenv("QWSTAT_TOL", env_tol)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = f"argparse exit {exc.code}"
+                out, err = capsys.readouterr()
+                results.append((code, out, err))
+            return results
+
+        shared = run_all()
+        assert [code for code, _, _ in shared] == [want for _, _, want in calls]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        fresh = run_all()
+        for (_, argv, _), got, want in zip(calls, shared, fresh):
+            assert got == want, argv

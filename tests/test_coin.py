@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qwstat import (
+    CoinMatrix,
     DomainError,
     NonUnitary,
     fourier,
@@ -96,6 +97,22 @@ class TestMakeCoin:
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
             make_coin(m)
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(NonUnitary) as exc:
+            CoinMatrix(np.ones((3, 3)))
+        assert exc.value.max_deviation == pytest.approx(3.0, abs=1e-12)
+        m = grover().matrix.copy()
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            CoinMatrix(m)
+
+    def test_tolerance_is_honoured(self):
+        m = grover().matrix * (1 + 5e-9)  # A A* = (1 + 5e-9)^2 I
+        with pytest.raises(NonUnitary):
+            make_coin(m)
+        assert make_coin(m, tol=1e-6).unitarity_deviation() == pytest.approx(1e-8, rel=1e-3)
+        assert CoinMatrix(m, tol=1e-6).unitarity_deviation() == pytest.approx(1e-8, rel=1e-3)
 
     def test_entry_attributes(self):
         g = grover()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qwstat import (
     CentralReflection,
     InconsistentLambda,
     NonUnimodularLambda,
+    NonUnitary,
     QWalkError,
     SquareConditionFailed,
     WalkType,
@@ -310,3 +312,27 @@ class TestPaperFormulas:
         for walk_type in (1, 2):
             classification_outcome(coin, walk_type)
 
+
+class TestLooselyAcceptedCoin:
+    """A coin accepted at a looser unitarity tolerance than the default still
+    classifies: the column-swapped copy Type 2 runs on is as unitary as the
+    coin itself."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_type2_matches_paper_formulas(self, tol):
+        # moving a22 by 1e-8 i keeps B/a11 = E/a33 unimodular to 5e-17 but
+        # breaks the square condition by 2e-8
+        m = grover().matrix.copy()
+        m[1, 1] += 1e-8j
+        with pytest.raises(NonUnitary):
+            make_coin(m)
+        coin = make_coin(m, tol=1e-6)
+        assert 1e-9 < coin.unitarity_deviation() < 1e-7
+        try:
+            want = paper_params(coin, 2, tol)
+        except QWalkError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                type2_params(coin, tol)
+            return
+        p = type2_params(coin, tol)
+        assert (p.lam, p.a_tilde_1, p.a_tilde_2, p.residual) == want
