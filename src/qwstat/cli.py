@@ -12,6 +12,7 @@ import cmath
 import functools
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -140,15 +141,22 @@ def _read_json_file(path: Path, what: str, parse):
 
 
 def resolve_tol(explicit: float | None) -> float:
+    """The drift tolerance: --tol, else QWSTAT_TOL, else the default.  A
+    negative or non-finite value is a UsageError naming where it came from."""
     if explicit is not None:
-        return explicit
-    env = os.environ.get("QWSTAT_TOL")
-    if env is not None:
+        tol, source = explicit, "--tol"
+    else:
+        env = os.environ.get("QWSTAT_TOL")
+        if env is None:
+            return DEFAULTS["tol"]
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise UsageError(f"QWSTAT_TOL is not a float: {env!r}")
-    return DEFAULTS["tol"]
+        source = "QWSTAT_TOL"
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"{source} must be a finite tolerance >= 0, got {tol!r}")
+    return tol
 
 
 def build_state(args, coin: CoinMatrix, topology: Topology):

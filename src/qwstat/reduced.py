@@ -98,16 +98,18 @@ def _require_reducible(coin: CoinMatrix) -> None:
         raise CentralReflection(abs(a[1, 1]))
 
 
-def reduced_matrix(coin: CoinMatrix, lam: complex) -> ReducedMatrix:
+def reduced_matrix(
+    coin: CoinMatrix, lam: complex, tol: float = CONSISTENCY_TOL
+) -> ReducedMatrix:
     """Evaluate the reduced matrix at a unimodular lambda.
 
     Raises ZeroEntry / CentralReflection when the coin is outside the scope
     of the reduction, and NonUnimodularLambda when |lambda| is more than
-    CONSISTENCY_TOL off the unit circle.
+    tol off the unit circle.
     """
     _require_reducible(coin)
     lam = complex(lam)
-    _check_unimodular(lam)
+    _check_unimodular(lam, tol)
     a = coin.matrix
     m = minors(coin)
     top = np.array(
@@ -158,7 +160,7 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > tol:
         raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
 
-    rm = reduced_matrix(coin, lam1).entries
+    rm = reduced_matrix(coin, lam1, tol).entries
     if np.abs(rm - np.diag([a1, a2])).max() > tol:
         raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
 

@@ -273,6 +273,40 @@ class TestVerify:
         assert code == EXIT_DRIFT
 
     @pytest.mark.parametrize(
+        ("flag", "env"),
+        [
+            ("-1", None),
+            ("nan", None),
+            ("inf", None),
+            ("-inf", None),
+            (None, "-5"),
+            (None, "nan"),
+            (None, "inf"),
+            ("-1", "1e-9"),
+        ],
+    )
+    def test_bad_tolerance_is_input_error(self, capsys, monkeypatch, flag, env):
+        # a negative tolerance used to fail every state as a drift (exit 3),
+        # and nan / inf got through to the JSON emitter
+        if env is None:
+            monkeypatch.delenv("QWSTAT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QWSTAT_TOL", env)
+        tol = [] if flag is None else [f"--tol={flag}"]
+        code = main(["verify", "--coin", "grover", "--type", "1", "--topology", "cycle:12", *tol])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        source = "QWSTAT_TOL" if flag is None else "--tol"
+        assert captured.err.startswith(f"error: {source} must be a finite tolerance >= 0")
+
+    def test_zero_tolerance_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setenv("QWSTAT_TOL", "0")
+        code = main(["verify", "--coin", "grover", "--type", "1", "--topology", "cycle:12"])
+        assert code in (EXIT_OK, EXIT_DRIFT)
+        assert json.loads(capsys.readouterr().out)["stationarity"]["tol"] == 0.0
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--type", "1", "--phi1", "nan"],

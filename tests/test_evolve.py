@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwstat import evolve
 from qwstat import (
     Cycle,
     NonUnimodularLambda,
@@ -136,19 +137,39 @@ class TestEigenResidual:
             eigen_residual(coin, state, 0.9)
 
 
-def step_loop_drift(coin, state, n_steps):
-    """Max measure drift and leaked norm of n_steps calls to the oracle step."""
+def step_loop_drifts(coin, state, n_steps):
+    """Per-step measure drifts and the leaked norm of n_steps calls to the
+    oracle step."""
     mu0 = (np.abs(state.amplitudes) ** 2).sum(axis=1)
     n = len(mu0)
     windowed = isinstance(state.topology, Window)
     current = state
-    drift = 0.0
+    drifts = np.empty(n_steps)
     for k in range(1, n_steps + 1):
         current = step(coin, current)
         mu = (np.abs(current.amplitudes) ** 2).sum(axis=1)
         lo, hi = (k, n - k) if windowed else (0, n)
-        drift = max(drift, np.abs(mu[lo:hi] - mu0[lo:hi]).max())
-    return drift, max(0.0, mu0.sum() - current.norm_squared())
+        drifts[k - 1] = np.abs(mu[lo:hi] - mu0[lo:hi]).max()
+    return drifts, np.maximum(mu0.sum() - current.norm_squared(), 0.0)
+
+
+def ring_blocks(n_sites, n_steps):
+    """Steps per block of the verify kernel, and how many blocks it runs."""
+    block = max(1, min(n_steps, evolve.BUDGET // (48 * n_sites)))
+    return block, -(-n_steps // block)
+
+
+def sites_for_block(block):
+    """The most sites a cycle can have while a block still holds block steps."""
+    return evolve.BUDGET // (48 * block)
+
+
+def impulses(topology, entries):
+    """A state that is zero except for {(site index, channel): amplitude}."""
+    amps = np.zeros((topology.n_sites, 3), dtype=complex)
+    for (i, c), v in entries.items():
+        amps[i, c] = v
+    return WaveState(topology, amps)
 
 
 class TestVerifyStationary:
@@ -168,7 +189,8 @@ class TestVerifyStationary:
         else:
             n_steps = data.draw(st.integers(1, 64))
         report = verify_stationary(coin, state, n_steps)
-        drift, leaked = step_loop_drift(coin, state, n_steps)
+        drifts, leaked = step_loop_drifts(coin, state, n_steps)
+        drift = drifts.max()
         scale = 1e-12 * (np.abs(before) ** 2).sum(axis=1).max()
         assert abs(report.max_measure_drift - drift) <= scale
         assert abs(report.leaked_norm - leaked) <= scale
@@ -183,6 +205,7 @@ class TestVerifyStationary:
         assert np.isnan(report.max_measure_drift)
         assert np.isnan(report.leaked_norm)
         assert report.passed is False
+        assert report.worst_step == 1
 
     def test_grover_cycle_long_run(self):
         coin = grover()
@@ -250,3 +273,97 @@ class TestVerifyStationary:
         state = type2_state(coin, type2_params(coin), seeds, Cycle(20))
         report = verify_stationary(coin, state, 100, tol=1e-9)
         assert report.passed
+
+    def test_worst_step_is_where_two_movers_meet(self):
+        # identity coin: a left mover at site 26 and a right mover at site 0
+        # meet at site 13 after 13 steps, in the third block of five steps;
+        # every other step moves weight 1 off two sites
+        block = 5
+        topo = Cycle(sites_for_block(block))
+        assert ring_blocks(topo.n, 17) == (block, 4)
+        state = impulses(topo, {(26, 0): 1.0, (0, 2): 1.0})
+        report = verify_stationary(make_coin(np.eye(3)), state, 17, tol=10.0)
+        assert report.max_measure_drift == 2.0
+        assert report.worst_step == 13
+        assert report.as_dict()["worst_step"] == 13
+
+    def test_worst_step_is_the_first_on_ties(self):
+        state = impulses(Window(8), {(8, 0): 1.0})
+        report = verify_stationary(make_coin(np.eye(3)), state, 7, tol=10.0)
+        assert report.max_measure_drift == 1.0
+        assert report.worst_step == 1
+
+    def test_worst_step_is_the_first_nan_step(self):
+        # |1e200|^2 overflows: the drift is inf while the left mover is away
+        # from site 5 and inf - inf = NaN when it comes back after 12 steps
+        state = impulses(Cycle(12), {(5, 0): 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_stationary(make_coin(np.eye(3)), state, 14)
+        assert np.isnan(report.max_measure_drift)
+        assert report.worst_step == 12
+        assert report.passed is False
+
+
+def block_cases():
+    """(topology, n_steps, steps per block, blocks) that put the verify kernel
+    in each regime of its ring, with sizes taken from the module's BUDGET."""
+    cap3 = evolve.BUDGET // (48 * 3)  # steps per block on a 3-cycle
+    small = sites_for_block(5)  # a cycle with five steps per block
+    w5 = (small - 1) // 2  # a window with five steps per block
+    big = evolve.BUDGET // 48 + 1  # one step per block
+    return [
+        pytest.param(Cycle(3), 40, 40, 1, id="cycle3-one-block"),
+        pytest.param(Cycle(3), 2 * cap3 + 1, cap3, 3, id="cycle3-wraps-partial"),
+        pytest.param(Cycle(small), 10, 5, 2, id="two-blocks"),
+        pytest.param(Cycle(small), 15, 5, 3, id="three-blocks"),
+        pytest.param(Cycle(small), 17, 5, 4, id="wraps-partial"),
+        pytest.param(Window(10), 9, 9, 1, id="window-one-block"),
+        pytest.param(Window(w5), w5 - 1, 5, -(-(w5 - 1) // 5), id="window-many-blocks"),
+        pytest.param(Cycle(big), 3, 1, 3, id="cycle-block-of-one"),
+        pytest.param(Window(big // 2 + 1), 4, 1, 4, id="window-block-of-one"),
+    ]
+
+
+class TestRing:
+    """The verify kernel against a loop of step calls, drift by drift, in
+    every regime of its ring buffer: a single block, several blocks with the
+    ring wrapping and a partial last block, and one step per block."""
+
+    @staticmethod
+    def check(coin, state, n_steps):
+        before = state.amplitudes.copy()
+        windowed = isinstance(state.topology, Window)
+        drifts, norm0, norm = evolve._drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
+        want, leaked = step_loop_drifts(coin, state, n_steps)
+        assert np.array_equal(state.amplitudes, before, equal_nan=True)
+        assert np.array_equal(np.isnan(drifts), np.isnan(want))
+        scale = 1e-12 * np.nanmax((np.abs(before) ** 2).sum(axis=1))
+        assert np.abs(drifts - want)[~np.isnan(want)].max(initial=0.0) <= scale
+        got_leaked = np.maximum(norm0 - norm, 0.0)
+        assert np.isnan(got_leaked) == np.isnan(leaked)
+        assert not abs(got_leaked - leaked) > scale
+        return drifts
+
+    @pytest.mark.parametrize(("topology", "n_steps", "block", "blocks"), block_cases())
+    def test_matches_step_loop(self, topology, n_steps, block, blocks):
+        assert ring_blocks(topology.n_sites, n_steps) == (block, blocks)
+        rng = np.random.default_rng(topology.n_sites + n_steps)
+        self.check(random_coin(rng), random_state(topology, rng), n_steps)
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize("edge", [0, -1])
+    @pytest.mark.parametrize(
+        ("topology", "n_steps"),
+        [
+            pytest.param(Cycle(sites_for_block(5)), 17, id="cycle"),
+            pytest.param(Window((sites_for_block(5) - 1) // 2), 17, id="window"),
+        ],
+    )
+    def test_nan_next_to_a_ghost_column(self, topology, n_steps, edge, channel):
+        # a NaN on an edge site reaches the ghost cells, which carry it round
+        # a cycle and must drop it at a window's edge, block after block
+        rng = np.random.default_rng(17)
+        amps = random_state(topology, rng).amplitudes.copy()
+        amps[edge, channel] = np.nan
+        drifts = self.check(random_coin(rng), WaveState(topology, amps), n_steps)
+        assert np.isnan(drifts).all()

@@ -336,3 +336,17 @@ class TestLooselyAcceptedCoin:
             return
         p = type2_params(coin, tol)
         assert (p.lam, p.a_tilde_1, p.a_tilde_2, p.residual) == want
+
+    def test_scaled_grover_classifies_at_the_given_tol(self):
+        # |lambda| = 1 + 5e-9 for both types: off the unit circle by more
+        # than the default tolerance, inside 1e-6, which must also reach the
+        # reduced matrix's own unimodularity check
+        coin = make_coin(grover().matrix * (1 + 5e-9), tol=1e-6)
+        for classify in (type1_params, type2_params):
+            p = classify(coin, tol=1e-6)
+            assert abs(abs(p.lam) - 1) == pytest.approx(5e-9, rel=1e-3)
+            with pytest.raises(NonUnimodularLambda):
+                classify(coin)
+        with pytest.raises(NonUnimodularLambda):
+            reduced_matrix(coin, -(1 + 5e-9))
+        assert reduced_matrix(coin, -(1 + 5e-9), tol=1e-6).lam == -(1 + 5e-9)
