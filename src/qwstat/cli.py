@@ -282,7 +282,8 @@ def cmd_verify(args) -> int:
         "schema": 1,
         "coin": args.coin,
         "lambda": [params.lam.real, params.lam.imag],
-        "eigen_residual": residual,
+        "eigen_residual": float(residual),
+        "eigen_residual_site": residual.site,
         "stationarity": report.as_dict(),
         "passed": report.passed,
     }

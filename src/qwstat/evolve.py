@@ -12,13 +12,16 @@ as they would on the full line.
 ``step`` applies this operator to a ``WaveState`` and is the reference.
 ``verify_stationary`` runs the same recursion through a private kernel,
 and the tests require it to agree with a loop of ``step`` calls.  The
-kernel keeps each step's state channel-major in its own slot of a ring
-buffer, with a ghost column at each end of a slot: the product A x is
-written into a slot's sites, and the next step reads the slot through a
-view whose rows are offset by one site each, which applies the shifts
-without copying.  The ghost cells hold the wrapped amplitudes on a cycle
-and zero on a window.  Measures and drifts are reduced once per block of
-steps, where a block is as many states as fit in ``BUDGET`` bytes.
+kernel keeps each step's state in its own slot of a ring buffer as six
+real rows, the real and imaginary parts of the three channels, with a
+ghost cell at each end of a row.  A step is one real matmul of the coin's
+6x6 real form, read from the slot's sites and written into the next slot
+through a view that puts channel c of A x c - 1 sites to the right, which
+applies the shifts on the write side without copying.  The ghost cells
+hold the wrapped amplitudes on a cycle and zero on a window.  Measures,
+the sums of squares of the six rows, are taken by one einsum per block of
+steps, and drifts are reduced once per block, where a block is as many
+states as fit in ``BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -60,19 +63,34 @@ def step(coin: CoinMatrix, state: WaveState) -> WaveState:
     return WaveState(state.topology, out)
 
 
-def eigen_residual(coin: CoinMatrix, state: WaveState, lam: complex) -> float:
+class EigenResidual(float):
+    """A float residual that also names ``site``, the site label it was found at."""
+
+    site: int
+
+    def __new__(cls, value: float, site: int) -> EigenResidual:
+        residual = super().__new__(cls, value)
+        residual.site = site
+        return residual
+
+
+def eigen_residual(coin: CoinMatrix, state: WaveState, lam: complex) -> EigenResidual:
     """Max pointwise residual of the eigenvalue relation (step Psi)(x) = lam Psi(x).
 
     All sites are checked on a cycle; on a window only the interior
     -W+1..W-1, where one step agrees with the full-line operator.  The max
-    norm localizes a violation to a site instead of smearing it.
+    norm localizes a violation to a site instead of smearing it: the float
+    returned carries that site's label as ``site`` (the first site on ties,
+    and the first NaN if there is one).
     """
     lam = complex(lam)
     _check_unimodular(lam)
-    diff = step(coin, state).amplitudes - lam * state.amplitudes
+    diff = np.abs(step(coin, state).amplitudes - lam * state.amplitudes)
+    sites = state.sites
     if isinstance(state.topology, Window):
-        diff = diff[1:-1]
-    return float(np.abs(diff).max())
+        diff, sites = diff[1:-1], sites[1:-1]
+    worst = int(np.argmax(diff))  # argmax stops at the first NaN, as max propagates it
+    return EigenResidual(diff.flat[worst], int(sites[worst // 3]))
 
 
 @dataclass(frozen=True)
@@ -145,77 +163,96 @@ def verify_stationary(
     )
 
 
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """The coin as a real (3, 2, 6) operand: entry [c, p, 2d + q] maps part q
+    (0 real, 1 imaginary) of input channel d to part p of output channel c,
+    so that the rows (re x0, im x0, re x1, im x1, re x2, im x2) give A x."""
+    r = np.empty((3, 2, 3, 2))
+    r[:, 0, :, 0] = a.real
+    r[:, 0, :, 1] = -a.imag
+    r[:, 1, :, 0] = a.imag
+    r[:, 1, :, 1] = a.real
+    return r.reshape(3, 2, 6)
+
+
 def _drift_trace(
     a: np.ndarray, amps: np.ndarray, n_steps: int, windowed: bool
 ) -> tuple[np.ndarray, float, float]:
     """Evolve a copy of amps n_steps times; return the drift of each step and
     the squared norm before the first step and after the last.
 
-    Every step's state gets its own slot of a (block, 3, N+2) array: row c
-    of a slot holds channel c of the product y = A x on sites 1..N, with one
-    ghost column at each end.  The next step reads a slot through a view that
-    starts each row c one site later than the row before, so that row c at
-    site j sees y_c(j+1-c): left(j) = y0(j+1), stay(j) = y1(j) and
-    right(j) = y2(j-1).  The two ghost cells that view reaches, row 0 past
-    the last site and row 2 before the first, hold the wrapped values on a
-    cycle and zero on a window, so a step is one matmul and two scalar stores.
+    Every step's state gets its own slot of a (block, 6 (N+2) + 3) real
+    array.  A slot holds six rows of N+2 values, the real and imaginary
+    parts of the left, stay and right channels, with sites 1..N between a
+    ghost cell at each end, so that its six rows of sites are a (6, N) view
+    with no shift.  A step is one matmul of the coin's real form, batched
+    by output channel, from the previous slot's (6, N) view into a
+    (3, 2, N) view of the next slot whose channel c starts c sites further
+    right: the stride between channels is one row pair plus one value.
+    Channel c of A x at site j thus lands on site j + c - 1, which is the
+    shift: left(j) = y0(j+1), stay(j) = y1(j), right(j) = y2(j-1).  The
+    two sites the matmul does not reach, left at the last site and right at
+    the first, get the wrapped values from the ghost cells on a cycle and
+    zero on a window, so a step is one matmul and two stores of two values.
 
-    Steps are reduced a block at a time: one pass over the block's slots
-    gives each step's measure and its drift, the max of |mu_k - mu_0| over
-    the sites step k cannot reach from a window's edge.  A block holds at
-    most BUDGET bytes of states.  Two such arrays form a ring: blocks
-    alternate between them, the last slot of one feeding the first slot of
-    the next, so nothing is copied back.  At large N a block is one step,
-    and the two arrays hold no more than the two states a step needs.  They
-    are two arrays, not one buffer, so that none is larger than a state:
-    glibc's malloc raises its mmap threshold to the largest block it has
-    unmapped, and a 2-state buffer raised the peak RSS of a run of
-    N = 99 999 verifies by about 2 MB.
+    Steps are reduced a block at a time: one einsum over the block's slots
+    gives each step's measure, the sum of squares of its six rows, and one
+    pass gives its drift, the max of |mu_k - mu_0| over the sites step k
+    cannot reach from a window's edge.  A block holds at most BUDGET bytes
+    of states.  Two such arrays form a ring: blocks alternate between them,
+    the last slot of one feeding the first slot of the next, so nothing is
+    copied back.  At large N a block is one step, and the two arrays hold
+    no more than the two states a step needs.  They are two arrays, not one
+    buffer, so that none is larger than a state: glibc's malloc raises its
+    mmap threshold to the largest block it has unmapped, and a 2-state
+    buffer raised the peak RSS of a run of N = 99 999 verifies by about
+    2 MB.
     """
     n = amps.shape[0]
+    row = n + 2
     if windowed:  # each site's distance from the nearer edge, 4 bytes a site
         edge_distance = np.arange(n, dtype=np.int32)
         np.minimum(edge_distance, edge_distance[::-1], out=edge_distance)
     block = max(1, min(n_steps, BUDGET // (48 * n)))
     halves = []
     for _ in range(2):
-        buf = np.zeros((block, 3, n + 2), dtype=np.complex128)
-        state = buf.reshape(block, 3 * (n + 2))[:, 2 : 2 + 3 * (n + 1)]
+        buf = np.zeros((block, 6 * row + 3))  # + 3: a slot splits into 3 x (2 rows + 1)
+        rows = buf[:, : 6 * row].reshape(block, 6, row)
         halves.append(
             (
-                buf[:, :, 1 : n + 1],  # where A x is written
-                state.reshape(block, 3, n + 1)[:, :, :n],  # the shifted states
-                buf[:, 0, n + 1],  # the ghost cells the states read ...
-                buf[:, 2, 0],
-                buf[:, 0, 1],  # ... and the sites they wrap to on a cycle
-                buf[:, 2, n],
+                # where A x is written: channel c starts c sites further on
+                buf.reshape(block, 3, 2 * row + 1)[:, :, : 2 * row]
+                .reshape(block, 3, 2, row)[:, :, :, :n],
+                rows[:, :, 1 : n + 1],  # the states
+                rows[:, 0:2, n],  # the sites the matmul misses ...
+                rows[:, 4:6, 1],
+                rows[:, 0:2, 0],  # ... and the ghost cells that wrap to them
+                rows[:, 4:6, n + 1],
             )
         )
-    sq = np.empty((block, 3, n))
     mu = np.empty((block, n))
 
     def measure(states: np.ndarray) -> np.ndarray:
-        """Measures of a (count, 3, N) stack of states, in mu[:count]."""
-        s = sq[: len(states)]
-        np.abs(states, out=s)
-        np.square(s, out=s)
-        return np.add.reduce(s, axis=1, out=mu[: len(states)])
+        """Measures of a (count, 6, N) stack of states, in mu[:count]."""
+        return np.einsum("bij,bij->bj", states, states, out=mu[: len(states)])
 
     x = halves[1][1][-1]  # step 0 sits in the last slot of the second half
-    x[...] = amps.T
+    x[0::2] = amps.real.T
+    x[1::2] = amps.imag.T
     mu0 = measure(x[None])[0].copy()
+    r = _real_form(a)
     drifts = np.empty(n_steps)
     for k0 in range(0, n_steps, block):
         count = min(block, n_steps - k0)
-        out, state, right_ghost, left_ghost, first_site, last_site = halves[k0 // block % 2]
+        out, state, left_edge, right_edge, left_ghost, right_ghost = halves[k0 // block % 2]
         for slot, y, nxt in zip(range(count), out, state):
-            np.matmul(a, x, out=y)
+            np.matmul(r, x, out=y)
             if windowed:
-                right_ghost[slot] = 0.0
-                left_ghost[slot] = 0.0
+                left_edge[slot] = 0.0
+                right_edge[slot] = 0.0
             else:
-                right_ghost[slot] = first_site[slot]
-                left_ghost[slot] = last_site[slot]
+                left_edge[slot] = left_ghost[slot]
+                right_edge[slot] = right_ghost[slot]
             x = nxt
         d = measure(state[:count])
         np.subtract(d, mu0, out=d)

@@ -325,6 +325,41 @@ class TestVerify:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["stationary", "verify"])
+    @pytest.mark.parametrize(
+        ("args", "site"),
+        [
+            (["--type", "1", "--phi1", "1e200", "--phi3", "1e200", "--topology", "cycle:6"], 0),
+            (["--type", "2", "--seeds", "big_seed.json", "--topology", "window:4"], 2),
+        ],
+    )
+    def test_overflowing_seeds_are_input_errors(
+        self, tmp_path, monkeypatch, capsys, command, args, site
+    ):
+        # finite seeds whose squared modulus overflows used to give a CSV of
+        # inf (stationary) or a NaN drift that only the JSON emitter refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big_seed.json").write_text(json.dumps({"values": {"2": [1e200, 0.0]}}))
+        code = main([command, "--coin", "grover", *args])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: seeds too large: the squared modulus of the state overflows at site {site}\n"
+        )
+
+    def test_eigen_residual_site_is_at_the_seam(self, capsys):
+        # the Fourier Type 1 left mover has period 3, so it does not close on
+        # a 10-cycle: site 9 reads site 0 where the line would have site 10
+        code = main(
+            ["verify", "--coin", "fourier", "--type", "1", "--phi1", "w", "--phi3", "w2",
+             "--topology", "cycle:10", "--steps", "1", "--tol", "100"]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["eigen_residual"] > 0.1
+        assert doc["eigen_residual_site"] == 9
+
     def test_window_too_small_is_input_error(self, capsys):
         code = main(
             [

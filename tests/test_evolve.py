@@ -130,6 +130,31 @@ class TestEigenResidual:
         assert boundary_residual > 0.1
         assert eigen_residual(coin, state, -1) < 1e-12
 
+    @pytest.mark.parametrize(
+        ("topology", "site"),
+        [(Cycle(9), 0), (Cycle(9), 4), (Cycle(9), 8), (Window(6), -5), (Window(6), 2), (Window(6), 5)],
+    )
+    def test_site_of_a_perturbation(self, topology, site):
+        # Grover, lambda = -1: a kick d to the left amplitude at x leaves a
+        # residual |d| there (0 - lambda d) and at most 2/3 |d| elsewhere
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), 0.5, -0.2j, topology)
+        amps = state.amplitudes.copy()
+        amps[topology.index_of(site), 0] += 1e-3
+        residual = eigen_residual(coin, WaveState(topology, amps), -1)
+        assert isinstance(residual, float)
+        assert residual == pytest.approx(1e-3, rel=1e-9)
+        assert residual.site == site
+
+    def test_site_of_the_first_nan(self):
+        # a NaN stay amplitude at site 4 spoils sites 3, 4 and 5
+        coin = grover()
+        amps = type1_state(coin, type1_params(coin), 0.5, -0.2j, Cycle(9)).amplitudes.copy()
+        amps[4, 1] = np.nan
+        residual = eigen_residual(coin, WaveState(Cycle(9), amps), -1)
+        assert np.isnan(residual)
+        assert residual.site == 3
+
     def test_rejects_non_unimodular(self):
         coin = grover()
         state = type1_state(coin, type1_params(coin), 1, 0, Cycle(5))
@@ -324,6 +349,13 @@ def block_cases():
     ]
 
 
+# a cycle and a window that run five steps per block, over several blocks
+MANY_BLOCKS = [
+    pytest.param(Cycle(sites_for_block(5)), 17, id="cycle"),
+    pytest.param(Window((sites_for_block(5) - 1) // 2), 17, id="window"),
+]
+
+
 class TestRing:
     """The verify kernel against a loop of step calls, drift by drift, in
     every regime of its ring buffer: a single block, several blocks with the
@@ -350,20 +382,69 @@ class TestRing:
         rng = np.random.default_rng(topology.n_sites + n_steps)
         self.check(random_coin(rng), random_state(topology, rng), n_steps)
 
+    def check_nan(self, topology, n_steps, site, channel, value):
+        rng = np.random.default_rng(17)
+        amps = random_state(topology, rng).amplitudes.copy()
+        amps[site, channel] = value
+        drifts = self.check(random_coin(rng), WaveState(topology, amps), n_steps)
+        assert np.isnan(drifts).all()
+
     @pytest.mark.parametrize("channel", [0, 1, 2])
     @pytest.mark.parametrize("edge", [0, -1])
-    @pytest.mark.parametrize(
-        ("topology", "n_steps"),
-        [
-            pytest.param(Cycle(sites_for_block(5)), 17, id="cycle"),
-            pytest.param(Window((sites_for_block(5) - 1) // 2), 17, id="window"),
-        ],
-    )
+    @pytest.mark.parametrize(("topology", "n_steps"), MANY_BLOCKS)
     def test_nan_next_to_a_ghost_column(self, topology, n_steps, edge, channel):
         # a NaN on an edge site reaches the ghost cells, which carry it round
         # a cycle and must drop it at a window's edge, block after block
-        rng = np.random.default_rng(17)
-        amps = random_state(topology, rng).amplitudes.copy()
-        amps[edge, channel] = np.nan
-        drifts = self.check(random_coin(rng), WaveState(topology, amps), n_steps)
-        assert np.isnan(drifts).all()
+        self.check_nan(topology, n_steps, edge, channel, np.nan)
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize("site", [0, 7, -1])
+    @pytest.mark.parametrize(("topology", "n_steps"), MANY_BLOCKS)
+    def test_nan_in_an_imaginary_part(self, topology, n_steps, site, channel):
+        # real and imaginary parts live in rows of their own, each with its
+        # own ghost cells: a NaN in one imaginary part still spoils every step
+        self.check_nan(topology, n_steps, site, channel, complex(0.5, np.nan))
+
+    @pytest.mark.parametrize(
+        "coin",
+        [
+            pytest.param(make_coin(np.eye(3)), id="identity"),
+            pytest.param(make_coin(np.roll(np.eye(3), 1, axis=0)), id="cyclic"),
+            pytest.param(random_coin(np.random.default_rng(3)), id="random"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        ("topology", "n_steps"),
+        [
+            # the ghost cells of the smallest topologies wrap onto (cycle) or
+            # sit next to (window) both the first and the last site
+            pytest.param(Cycle(3), 2 * (evolve.BUDGET // (48 * 3)) + 1, id="cycle3"),
+            pytest.param(Window(2), 2, id="window2"),
+            *MANY_BLOCKS,
+        ],
+    )
+    def test_coins_with_zero_entries(self, coin, topology, n_steps):
+        # exact zeros in the coin's real form must not drop a term of A x
+        rng = np.random.default_rng(topology.n_sites)
+        self.check(coin, random_state(topology, rng), n_steps)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 50),
+        scale=st.floats(-30, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_real_form_matches_complex_product(self, seed, n, scale):
+        # a general complex 3x3 matrix, entries and amplitudes spread over
+        # several orders of magnitude
+        rng = np.random.default_rng(seed)
+        a = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * 10.0 ** rng.uniform(-3, 3, (3, 3))
+        x = (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))) * 10.0 ** (scale + rng.uniform(-3, 3, (3, n)))
+        rows = np.empty((6, n))
+        rows[0::2] = x.real
+        rows[1::2] = x.imag
+        got = evolve._real_form(a) @ rows
+        want = a @ x
+        bound = 8 * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
+        assert (np.abs(got[:, 0] - want.real) <= bound).all()
+        assert (np.abs(got[:, 1] - want.imag) <= bound).all()

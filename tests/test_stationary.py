@@ -99,6 +99,12 @@ class TestType1State:
         with pytest.raises(ValueError, match="finite"):
             type1_state(coin, type1_params(coin), phi1, phi3, Cycle(5))
 
+    def test_overflowing_measure_rejected(self):
+        # finite seeds, but |1e200|^2 is beyond the float range at every site
+        coin = grover()
+        with pytest.raises(ValueError, match="overflows at site -3$"):
+            type1_state(coin, type1_params(coin), 1e200, 1e200, Window(3))
+
     def test_unimodular_profile_moduli(self):
         # |left(x)| = |phi1| and |right(x)| = |phi3| at every site
         for coin in (fourier(), stefanak_eta(0.9)):
@@ -196,6 +202,14 @@ class TestType2State:
         coin = grover()
         with pytest.raises(ValueError, match="finite"):
             type2_state(coin, type2_params(coin), {0: 1.0, 1: bad}, Cycle(5))
+
+    @pytest.mark.parametrize("topology", [Cycle(5), Window(3)])
+    def test_overflowing_measure_rejected(self, topology):
+        coin = grover()
+        p = type2_params(coin)
+        assert np.isfinite(measure_of(type2_state(coin, p, {0: 1.0, 2: 1e153}, topology)).values).all()
+        with pytest.raises(ValueError, match="overflows at site 2$"):
+            type2_state(coin, p, {0: 1.0, 2: 1e200}, topology)
 
     def test_site_key_beyond_int64_rejected(self):
         coin = grover()
