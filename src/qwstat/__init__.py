@@ -45,7 +45,7 @@ from .reduced import (
     type1_params,
     type2_params,
 )
-from .state import Cycle, Measure, Topology, WaveState, Window
+from .state import Cycle, Measure, Seeds, Topology, WaveState, Window
 from .stationary import (
     closed_form_measure_a1,
     closed_form_measure_type2,
@@ -84,6 +84,7 @@ __all__ = [
     "Topology",
     "WaveState",
     "Measure",
+    "Seeds",
     # stationary states and measures
     "type1_state",
     "type2_state",

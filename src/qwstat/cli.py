@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import gc
 import io
 import json
 import math
@@ -36,7 +37,7 @@ from .serialize import (
     seeds_from_json,
     state_to_json,
 )
-from .state import Cycle, Topology, Window
+from .state import Cycle, Seeds, Topology, Window
 from .stationary import (
     closed_form_applies,
     closed_form_measure_a1,
@@ -120,24 +121,35 @@ def load_coin(args) -> CoinMatrix:
     raise UsageError(f"unknown coin {name!r}")
 
 
-def load_seeds(args) -> dict[int, complex]:
+def load_seeds(args) -> Seeds:
     if args.seeds is None:
-        return {0: 1.0 + 0.0j}
+        return Seeds([0], [1.0])
     return _read_json_file(Path(args.seeds), "seeds", seeds_from_json)
 
 
 def _read_json_file(path: Path, what: str, parse):
     """parse() of the JSON document in path.  A file that cannot be read, is
     not JSON, or does not have the structure parse() expects raises a
-    UsageError naming the file (exit 4)."""
+    UsageError naming the file (exit 4).
+
+    The cyclic garbage collector is paused while the file is decoded and
+    parsed: a seeds file holds one small list per site, and the 1e5 of a
+    large one would set off about 140 collections that free nothing.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read {what} file {path}: {exc}")
-    try:
-        return parse(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed {what} file {path}: {exc}")
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read {what} file {path}: {exc}")
+        try:
+            return parse(obj)
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"malformed {what} file {path}: {exc}")
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def resolve_tol(explicit: float | None) -> float:
@@ -180,8 +192,11 @@ def closed_form_column(args, coin, topology, seeds) -> np.ndarray | None:
         return None
     sites = topology.sites()
     if args.type == 2:
+        # a dict, not the Seeds, because the closed form looks seeds up one
+        # site at a time, and a dict lookup is the faster
+        lookup = dict(zip(seeds.sites.tolist(), seeds.values.tolist()))
         return np.array(
-            [closed_form_measure_type2(coin, seeds, int(x), topology) for x in sites]
+            [closed_form_measure_type2(coin, lookup, int(x), topology) for x in sites]
         )
     return np.array([closed_form_measure_a1(coin.family_param, phi1, int(x)) for x in sites])
 

@@ -49,18 +49,21 @@ def step(coin: CoinMatrix, state: WaveState) -> WaveState:
     """Apply the walk operator once."""
     amps = state.amplitudes
     a = coin.matrix
-    if isinstance(state.topology, Cycle):
-        up = np.roll(amps, -1, axis=0)
-        down = np.roll(amps, 1, axis=0)
-    else:
-        pad = np.zeros((1, 3), dtype=np.complex128)
-        up = np.vstack([amps[1:], pad])
-        down = np.vstack([pad, amps[:-1]])
+    cyclic = isinstance(state.topology, Cycle)
+    # Each channel is one product of every site's triple with a coin row,
+    # shifted as it is stored: left(x) takes row 0 at x + 1, right(x) row 2
+    # at x - 1, and the site past an edge wraps on a cycle and is 0 on a
+    # window.  Each site's product is the one a shifted copy of amps gives,
+    # bit for bit, without the copy.
     out = np.empty_like(amps)
-    out[:, 0] = up @ a[0]
     out[:, 1] = amps @ a[1]
-    out[:, 2] = down @ a[2]
-    return WaveState(state.topology, out)
+    moved = amps @ a[0]
+    out[:-1, 0] = moved[1:]
+    out[-1, 0] = moved[0] if cyclic else 0.0
+    moved = amps @ a[2]
+    out[1:, 2] = moved[:-1]
+    out[0, 2] = moved[-1] if cyclic else 0.0
+    return WaveState._adopt(state.topology, out)
 
 
 class EigenResidual(float):
@@ -100,7 +103,10 @@ class StationarityReport:
     ``interior`` is the (lo, hi) site range the drift was checked on at the
     final step; on a window it shrinks by one site per step from each end.
     ``worst_step`` is the 1-based step with the largest drift: the first
-    one on ties, and the first step whose drift is NaN if there is one.
+    one on ties, and the first step whose drift is NaN if there is one.  It
+    locates a defect only when the check fails: on an exact eigenstate the
+    drifts are round-off, and which step holds the largest can change with
+    the order of the floating-point operations.
     ``leaked_norm`` is the total squared amplitude absorbed at window edges
     (about zero on cycles).
     """

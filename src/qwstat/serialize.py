@@ -7,13 +7,14 @@ round-trips doubles exactly.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import IO, Mapping
 
 import numpy as np
 
 from .coin import CoinMatrix, make_coin
 from .reduced import ReducedParams
-from .state import Cycle, Measure, Topology, WaveState, Window
+from .state import Cycle, Measure, Seeds, Topology, WaveState, Window
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -87,7 +88,7 @@ def state_from_json(obj) -> WaveState:
     amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
     for key, triple in obj["amplitudes"].items():
         amps[topology.index_of(int(key))] = [_unpair(c) for c in triple]
-    return WaveState(topology, amps)
+    return WaveState._adopt(topology, amps)
 
 
 def measure_to_json(measure: Measure) -> dict:
@@ -133,9 +134,32 @@ def seeds_to_json(seeds: Mapping[int, complex]) -> dict:
     }
 
 
-def seeds_from_json(obj) -> dict[int, complex]:
+def seeds_from_json(obj) -> Seeds:
+    """Read Type 2 seeds from a parsed document, ``{"values": {site: [re, im]}}``
+    or the bare mapping.
+
+    Every key must name an integer site, and no site may be named twice
+    ("1" and "01" are one site).  Every value must be an array of two JSON
+    numbers; a string, a boolean, null or a pair of another length raises
+    ValueError.  The values are copied into the arrays of a :class:`Seeds`
+    in bulk, without a Python number per seed.
+    """
     values = obj["values"] if isinstance(obj, dict) and "values" in obj else obj
-    return {int(k): _unpair(v) for k, v in values.items()}
+    pairs = list(values.values())
+    try:
+        sites = np.fromiter(map(int, values), dtype=np.int64, count=len(pairs))
+    except OverflowError:
+        raise ValueError("seed site index does not fit in 64 bits") from None
+    try:
+        two_items_each = set(map(len, pairs)) <= {2}
+    except TypeError:  # a bare number, boolean or null has no length
+        two_items_each = False
+    # a string such as "12" has two items too, so the items' types are checked
+    flat = list(chain.from_iterable(pairs)) if two_items_each else []
+    if not two_items_each or not set(map(type, flat)) <= {int, float}:
+        raise ValueError("every seed value must be an array [re, im] of two numbers")
+    parts = np.array(flat, dtype=np.float64)
+    return Seeds(sites, parts.view(np.complex128))
 
 
 def reduced_params_to_json(params: ReducedParams) -> dict:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-__all__ = ["Window", "Cycle", "Topology", "WaveState", "Measure"]
+__all__ = ["Window", "Cycle", "Topology", "WaveState", "Measure", "Seeds"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,19 @@ class WaveState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128)
+        self._freeze(np.array(self.amplitudes, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, topology: Topology, amplitudes: np.ndarray) -> WaveState:
+        """The state over a complex128 array the caller owns and hands over,
+        without the copy the constructor makes.  The caller must not write
+        to the array afterwards; it is made read-only here."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "topology", topology)
+        state._freeze(np.asarray(amplitudes, dtype=np.complex128))
+        return state
+
+    def _freeze(self, a: np.ndarray) -> None:
         expected = (self.topology.n_sites, 3)
         if a.shape != expected:
             raise ValueError(f"amplitudes must have shape {expected}, got {a.shape}")
@@ -121,3 +134,56 @@ class Measure:
     @property
     def sites(self) -> np.ndarray:
         return self.topology.sites()
+
+
+class Seeds(Mapping):
+    """Type 2 seeds: a read-only mapping from sites to left amplitudes.
+
+    It is kept as two read-only arrays: ``sites`` (int64, increasing, no
+    site twice) and ``values`` (complex128), the amplitude at each site.
+    Sites may be given in any order; a site given twice, or one that does
+    not fit in 64 bits, raises ValueError.  Looking one site up is a binary
+    search; ``type2_state`` reads the arrays whole.
+    """
+
+    __slots__ = ("sites", "values")
+
+    def __init__(self, sites, values):
+        try:
+            s = np.array(sites, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("seed site index does not fit in 64 bits") from None
+        v = np.array(values, dtype=np.complex128)
+        if s.ndim != 1 or v.shape != s.shape:
+            raise ValueError(
+                f"seed sites and values must be two 1-D arrays of one length, "
+                f"got shapes {s.shape} and {v.shape}"
+            )
+        if not (s[1:] > s[:-1]).all():
+            order = np.argsort(s)
+            s, v = s[order], v[order]
+            repeated = np.flatnonzero(s[1:] == s[:-1])
+            if len(repeated):
+                raise ValueError(f"seed site {s[repeated[0]]} is given more than once")
+        s.setflags(write=False)
+        v.setflags(write=False)
+        self.sites = s
+        self.values = v
+
+    def __getitem__(self, site) -> complex:
+        try:
+            i = int(np.searchsorted(self.sites, site))
+            if i < len(self.sites) and self.sites[i] == site:
+                return complex(self.values[i])
+        except (TypeError, OverflowError):  # not a site an int64 can name
+            pass
+        raise KeyError(site)
+
+    def __iter__(self):
+        return iter(self.sites.tolist())
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __repr__(self) -> str:
+        return f"Seeds({dict(zip(self.sites.tolist(), self.values.tolist()))!r})"

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .reduced import ReducedParams, WalkType, type1_params
-from .state import Cycle, Measure, Topology, WaveState
+from .state import Cycle, Measure, Seeds, Topology, WaveState
 
 __all__ = [
     "PERIOD_TOL",
@@ -103,16 +103,15 @@ def type2_state(
     ``seeds`` maps sites to left amplitudes; absent sites read as zero.  On
     a window -W..W the value at -W-1 is also consulted (the right amplitude
     lags by one site); on a cycle of N sites only keys 0..N-1 are read and
-    the lag wraps.  Every seed value must be finite.
+    the lag wraps.  Every seed value must be finite.  A :class:`Seeds` is
+    read as it is; any other mapping is first copied into one.
     """
     if params.walk_type is not WalkType.TYPE2:
         raise TypeMismatch(f"expected Type 2 parameters, got {params.walk_type}")
 
-    try:
-        keys = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
-    except OverflowError:
-        raise ValueError("seed site index does not fit in 64 bits") from None
-    values = np.fromiter(seeds.values(), dtype=np.complex128, count=len(seeds))
+    if not isinstance(seeds, Seeds):
+        seeds = Seeds(list(seeds.keys()), list(seeds.values()))
+    keys, values = seeds.sites, seeds.values
     if not np.isfinite(values).all():
         raise ValueError("seed values must be finite")
 
@@ -148,7 +147,7 @@ def _finite_state(
     measure, drift or residual of such a state means anything, so it is an
     input error here rather than a CSV of inf or a NaN drift later.
     """
-    state = WaveState(topology, np.stack([left, stay, right], axis=1))
+    state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
     parts = state.amplitudes.view(np.float64)  # re and im of each channel
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.einsum("ij,ij->i", parts, parts)

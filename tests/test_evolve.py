@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,25 @@ def random_state(topology, rng):
         size=(topology.n_sites, 3)
     )
     return WaveState(topology, amps)
+
+
+def rolled_step(a, state):
+    """The reference step: the neighbours' triples as rolled (cycle) or
+    padded (window) copies of the state, one coin row each.  step takes the
+    same products without the copies and must give the same bits."""
+    amps = state.amplitudes
+    if isinstance(state.topology, Cycle):
+        up = np.roll(amps, -1, axis=0)
+        down = np.roll(amps, 1, axis=0)
+    else:
+        pad = np.zeros((1, 3), dtype=np.complex128)
+        up = np.vstack([amps[1:], pad])
+        down = np.vstack([pad, amps[:-1]])
+    out = np.empty_like(amps)
+    out[:, 0] = up @ a[0]
+    out[:, 1] = amps @ a[1]
+    out[:, 2] = down @ a[2]
+    return out
 
 
 class TestStep:
@@ -91,6 +112,38 @@ class TestStep:
         for _ in range(5):
             state = step(coin, state)
         assert state.norm_squared() == pytest.approx(before, rel=1e-12)
+
+    @given(
+        data=st.data(),
+        topology=st.one_of(st.integers(3, 70).map(Cycle), st.integers(1, 35).map(Window)),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rolled_copies(self, data, topology, seed):
+        rng = np.random.default_rng(seed)
+        coin = data.draw(
+            st.sampled_from(
+                [grover(), fourier(), stefanak_eta(0.7), stefanak_rho(0.4), random_coin(rng)]
+            )
+        )
+        scale = data.draw(st.sampled_from([1.0, 1e-300, 1e150]))
+        state = WaveState(topology, random_state(topology, rng).amplitudes * scale)
+        assert np.array_equal(step(coin, state).amplitudes, rolled_step(coin.matrix, state))
+
+    def test_memory_of_one_step(self):
+        # the output and at most two channel products, 80 bytes a site: within
+        # two state-sized arrays, where rolled copies of the state took four
+        n = 99_999
+        state = random_state(Cycle(n), np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = step(grover(), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.amplitudes.shape == (n, 3)
+        assert peak <= 2 * state.amplitudes.nbytes + 64 * 1024
 
     def test_window_matches_cycle_away_from_edges(self):
         # same support, same coin: interior sites see identical dynamics

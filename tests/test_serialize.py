@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from hypothesis import strategies as st
 
 from qwstat import (
     Cycle,
+    DegenerateSeeds,
     Measure,
     NonUnitary,
+    Seeds,
     Window,
     fourier,
     grover,
     measure_of,
+    stefanak_rho,
     type1_params,
     type1_state,
     type2_params,
+    type2_state,
 )
 from qwstat.serialize import (
     coin_from_json,
@@ -159,6 +164,104 @@ def test_seeds_round_trip():
 
 def test_seeds_from_bare_mapping():
     assert seeds_from_json({"0": [1.0, 0.0]}) == {0: 1.0 + 0j}
+
+
+def old_seeds_from_json(obj) -> dict[int, complex]:
+    """The dict seeds_from_json used to build: the reference for its arrays."""
+    return {int(k): complex(float(re), float(im)) for k, (re, im) in obj["values"].items()}
+
+
+json_numbers = st.one_of(
+    st.integers(-(2**70), 2**70),  # beyond 2**53 the conversion rounds
+    st.floats(allow_nan=False, allow_infinity=False),  # repr gives exponents: 1e-300
+)
+
+
+@given(
+    pairs=st.dictionaries(st.integers(-(2**63), 2**63 - 1), st.tuples(json_numbers, json_numbers)),
+    order=st.randoms(),
+)
+@settings(max_examples=100, deadline=None)
+def test_seed_arrays_match_the_old_dict(pairs, order):
+    keys = list(pairs)
+    order.shuffle(keys)
+    text = json.dumps({"schema": 1, "values": {str(k): list(pairs[k]) for k in keys}})
+    doc = json.loads(text)
+    seeds = seeds_from_json(doc)
+    old = old_seeds_from_json(doc)
+    assert isinstance(seeds, Seeds)
+    assert seeds == old
+    # bit for bit, signed zeros included
+    assert seeds.sites.tolist() == sorted(old)
+    expected = np.array([old[k] for k in sorted(old)], dtype=np.complex128)
+    assert seeds.values.tobytes() == expected.tobytes()
+
+
+@given(
+    topology=st.one_of(st.integers(3, 40).map(Cycle), st.integers(1, 30).map(Window)),
+    pairs=st.dictionaries(
+        st.integers(-80, 80),  # keys the topology does not read as well
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        min_size=1,
+    ),
+    coin=st.sampled_from([grover(), stefanak_rho(0.4)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_type2_state_from_seed_arrays_matches_the_dict(topology, pairs, coin):
+    doc = json.loads(json.dumps({"values": {str(k): list(v) for k, v in pairs.items()}}))
+    params = type2_params(coin)
+    try:
+        want = type2_state(coin, params, old_seeds_from_json(doc), topology).amplitudes
+    except DegenerateSeeds as exc:  # zero on every site the topology reads
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            type2_state(coin, params, seeds_from_json(doc), topology)
+        return
+    got = type2_state(coin, params, seeds_from_json(doc), topology).amplitudes
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("site", [2**63, -(2**63) - 1, 2**70])
+def test_seed_site_beyond_int64_rejected_while_parsing(site):
+    with pytest.raises(ValueError, match="64 bits"):
+        seeds_from_json({"values": {"0": [1.0, 0.0], str(site): [1.0, 0.0]}})
+
+
+def test_seed_sites_at_the_int64_limits():
+    seeds = seeds_from_json({"values": {str(2**63 - 1): [1, 0], str(-(2**63)): [0, 1]}})
+    assert seeds == {-(2**63): 1j, 2**63 - 1: 1.0}
+
+
+class TestSeeds:
+    def test_sorted_read_only_arrays(self):
+        seeds = Seeds([3, -2, 0], [1.0, 2j, -1.5])
+        assert seeds.sites.dtype == np.int64 and seeds.values.dtype == np.complex128
+        assert seeds.sites.tolist() == [-2, 0, 3]
+        assert seeds.values.tolist() == [2j, -1.5, 1.0]
+        assert not seeds.sites.flags.writeable and not seeds.values.flags.writeable
+
+    def test_copies_its_input(self):
+        sites, values = np.array([0, 1]), np.array([1.0, 2.0], dtype=complex)
+        seeds = Seeds(sites, values)
+        values[0] = 7.0
+        assert seeds[0] == 1.0
+
+    def test_mapping(self):
+        seeds = Seeds([3, -2], [1.0, 2j])
+        assert list(seeds) == [-2, 3] and len(seeds) == 2
+        assert seeds[3] == 1.0 and seeds.get(4) is None and seeds.get(4, 0.0) == 0.0
+        assert 3 in seeds and 0 not in seeds and "3" not in seeds and 2**70 not in seeds
+        assert seeds == {-2: 2j, 3: 1.0} and seeds != {-2: 2j}
+        with pytest.raises(KeyError):
+            seeds[-1]
+
+    def test_site_given_twice(self):
+        with pytest.raises(ValueError, match="seed site 5 is given more than once"):
+            Seeds([5, 1, 5], [1.0, 2.0, 3.0])
+
+    def test_shapes(self):
+        with pytest.raises(ValueError, match="one length"):
+            Seeds([0, 1], [1.0])
+        assert len(Seeds([], [])) == 0
 
 
 def test_reduced_params_json_fields():
