@@ -514,6 +514,8 @@ class TestMisc:
             ("seeds", {"values": {"0": 5}}),
             ("seeds", {"values": {"0": [None, 1]}}),
             ("seeds", {"values": [1, 2]}),
+            ("coin", {"matrix": 3}),
+            ("coin", [[1, 0], [0, 1]]),
             ("seeds", {"values": {"0": "12"}}),
             ("seeds", {"values": {"0": ["1.5", 2]}}),
             ("seeds", {"values": {"0": [True, False]}}),
@@ -521,8 +523,6 @@ class TestMisc:
             ("seeds", {"values": {"0": [1.0, 0.0, 0.0]}}),
             ("seeds", {"values": {"0": [1.0, 0.0], str(2**64): [1.0, 0.0]}}),
             ("seeds", {"values": {"0": [10**400, 0]}}),
-            ("coin", {"matrix": 3}),
-            ("coin", [[1, 0], [0, 1]]),
         ],
     )
     def test_malformed_input_file(self, tmp_path, capsys, kind, doc):
