@@ -26,6 +26,7 @@ from .errors import (
     DegenerateSeeds,
     DomainError,
     InconsistentLambda,
+    NoCycleClosure,
     NonUnimodularLambda,
     NonUnitary,
     QWalkError,
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .evolve import StationarityReport, eigen_residual, step, verify_stationary
 from .reduced import (
-    ReducedMatrix,
     ReducedParams,
     WalkType,
     reduced_matrix,
@@ -49,9 +49,8 @@ from .state import Cycle, Measure, Seeds, Topology, WaveState, Window
 from .stationary import (
     closed_form_measure_a1,
     closed_form_measure_type2,
+    cycle_restriction,
     detect_period,
-    fourier_cycle_boundary_residuals,
-    fourier_cycle_state,
     measure_of,
     type1_state,
     type2_state,
@@ -73,7 +72,6 @@ __all__ = [
     "minors",
     # classification
     "WalkType",
-    "ReducedMatrix",
     "ReducedParams",
     "reduced_matrix",
     "type1_params",
@@ -87,13 +85,12 @@ __all__ = [
     "Seeds",
     # stationary states and measures
     "type1_state",
+    "cycle_restriction",
     "type2_state",
     "measure_of",
     "closed_form_measure_a1",
     "closed_form_measure_type2",
     "detect_period",
-    "fourier_cycle_state",
-    "fourier_cycle_boundary_residuals",
     # evolution oracle
     "step",
     "eigen_residual",
@@ -109,6 +106,7 @@ __all__ = [
     "InconsistentLambda",
     "SquareConditionFailed",
     "DegenerateSeeds",
+    "NoCycleClosure",
     "TypeMismatch",
     "TanSingularity",
     "UnsupportedFamily",

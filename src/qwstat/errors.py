@@ -79,6 +79,19 @@ class DegenerateSeeds(QWalkError):
     """All seed amplitudes are zero; the construction would give the zero state."""
 
 
+class NoCycleClosure(QWalkError):
+    """A nonzero Type 1 seed's profile misses closing on the cycle: e^{i n k} != 1."""
+
+    def __init__(self, n: int, momentum: float, mismatch: float):
+        self.n = int(n)
+        self.momentum = float(momentum)
+        self.mismatch = float(mismatch)
+        super().__init__(
+            f"the Type 1 state does not close on a cycle of {self.n} sites:"
+            f" momentum k = {self.momentum!r} gives |e^(i n k) - 1| = {self.mismatch:.3e}"
+        )
+
+
 class TypeMismatch(QWalkError):
     """Classification result passed to a constructor of the other walk type."""
 

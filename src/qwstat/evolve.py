@@ -88,7 +88,11 @@ def eigen_residual(coin: CoinMatrix, state: WaveState, lam: complex) -> EigenRes
     """
     lam = complex(lam)
     _check_unimodular(lam)
-    diff = np.abs(step(coin, state).amplitudes - lam * state.amplitudes)
+    stepped = step(coin, state).amplitudes
+    diff = lam * state.amplitudes  # the difference goes here: step does not own it
+    np.subtract(stepped, diff, out=diff)
+    del stepped  # so that at most two state-sized arrays are alive at once
+    diff = np.abs(diff)
     sites = state.sites
     if isinstance(state.topology, Window):
         diff, sites = diff[1:-1], sites[1:-1]

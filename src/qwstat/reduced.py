@@ -46,7 +46,6 @@ __all__ = [
     "ZERO_ENTRY_TOL",
     "CENTRAL_TOL",
     "WalkType",
-    "ReducedMatrix",
     "ReducedParams",
     "reduced_matrix",
     "type1_params",
@@ -63,14 +62,6 @@ CENTRAL_TOL = 1e-10
 class WalkType(Enum):
     TYPE1 = 1
     TYPE2 = 2
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedMatrix:
-    """The 2x2 reduced matrix evaluated at a specific unimodular lambda."""
-
-    entries: np.ndarray
-    lam: complex
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,8 @@ def _require_reducible(coin: CoinMatrix) -> None:
 
 def reduced_matrix(
     coin: CoinMatrix, lam: complex, tol: float = CONSISTENCY_TOL
-) -> ReducedMatrix:
-    """Evaluate the reduced matrix at a unimodular lambda.
+) -> np.ndarray:
+    """The reduced matrix at a unimodular lambda, as a read-only 2x2 array.
 
     Raises ZeroEntry / CentralReflection when the coin is outside the scope
     of the reduction, and NonUnimodularLambda when |lambda| is more than
@@ -121,7 +112,7 @@ def reduced_matrix(
     )
     entries = top / (lam - a[1, 1])
     entries.setflags(write=False)
-    return ReducedMatrix(entries, lam)
+    return entries
 
 
 def _check_unimodular(lam: complex, tol: float = CONSISTENCY_TOL) -> None:
@@ -160,7 +151,7 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > tol:
         raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
 
-    rm = reduced_matrix(coin, lam1, tol).entries
+    rm = reduced_matrix(coin, lam1, tol)
     if np.abs(rm - np.diag([a1, a2])).max() > tol:
         raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
 

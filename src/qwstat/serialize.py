@@ -40,9 +40,19 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _unpair(obj) -> complex:
-    re, im = obj
-    return complex(float(re), float(im))
+def _complex_array(pairs, what: str) -> np.ndarray:
+    """The [re, im] pairs as a complex128 array, converted in bulk.  Each must
+    be an array of two JSON numbers; anything else (a string, a boolean,
+    null, a pair of another length) raises ValueError naming ``what``."""
+    try:
+        two_items_each = set(map(len, pairs)) <= {2}
+    except TypeError:  # a bare number, boolean or null has no length
+        two_items_each = False
+    # a string such as "12" has two items too, so the items' types are checked
+    flat = list(chain.from_iterable(pairs)) if two_items_each else []
+    if not two_items_each or not set(map(type, flat)) <= {int, float}:
+        raise ValueError(f"every {what} must be an array [re, im] of two numbers")
+    return np.array(flat, dtype=np.float64).view(np.complex128)
 
 
 def coin_to_json(coin: CoinMatrix) -> dict:
@@ -53,7 +63,7 @@ def coin_to_json(coin: CoinMatrix) -> dict:
 def coin_from_json(obj, tol: float | None = None) -> CoinMatrix:
     """Read a coin from a parsed JSON document (wrapped or bare 3x3 array)."""
     matrix = obj["matrix"] if isinstance(obj, dict) else obj
-    m = np.array([[_unpair(cell) for cell in row] for row in matrix])
+    m = np.array([_complex_array(row, "coin entry") for row in matrix])
     return make_coin(m) if tol is None else make_coin(m, tol=tol)
 
 
@@ -87,7 +97,7 @@ def state_from_json(obj) -> WaveState:
     topology = topology_from_json(obj["topology"])
     amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
     for key, triple in obj["amplitudes"].items():
-        amps[topology.index_of(int(key))] = [_unpair(c) for c in triple]
+        amps[topology.index_of(int(key))] = _complex_array(triple, "amplitude")
     return WaveState._adopt(topology, amps)
 
 
@@ -140,9 +150,8 @@ def seeds_from_json(obj) -> Seeds:
 
     Every key must name an integer site, and no site may be named twice
     ("1" and "01" are one site).  Every value must be an array of two JSON
-    numbers; a string, a boolean, null or a pair of another length raises
-    ValueError.  The values are copied into the arrays of a :class:`Seeds`
-    in bulk, without a Python number per seed.
+    numbers.  The values are copied into the arrays of a :class:`Seeds` in
+    bulk, without a Python number per seed.
     """
     values = obj["values"] if isinstance(obj, dict) and "values" in obj else obj
     pairs = list(values.values())
@@ -150,16 +159,7 @@ def seeds_from_json(obj) -> Seeds:
         sites = np.fromiter(map(int, values), dtype=np.int64, count=len(pairs))
     except OverflowError:
         raise ValueError("seed site index does not fit in 64 bits") from None
-    try:
-        two_items_each = set(map(len, pairs)) <= {2}
-    except TypeError:  # a bare number, boolean or null has no length
-        two_items_each = False
-    # a string such as "12" has two items too, so the items' types are checked
-    flat = list(chain.from_iterable(pairs)) if two_items_each else []
-    if not two_items_each or not set(map(type, flat)) <= {int, float}:
-        raise ValueError("every seed value must be an array [re, im] of two numbers")
-    parts = np.array(flat, dtype=np.float64)
-    return Seeds(sites, parts.view(np.complex128))
+    return Seeds(sites, _complex_array(pairs, "seed value"))
 
 
 def reduced_params_to_json(params: ReducedParams) -> dict:

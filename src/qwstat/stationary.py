@@ -14,10 +14,11 @@ In both cases the stay amplitude is determined by the other two:
 ``stay(x) = (a21 left(x) + a23 right(x)) / (lam - a22)``.  The site measure
 of any such state is stationary under the walk.
 
-This module also carries the specific closed-form measures the stefanak_eta
-/ stefanak_rho families admit, a measure periodicity detector, and the
-restriction of the Fourier Type 1 state to cycles whose length is a multiple
-of three.
+A Type 1 state restricts to the cycle of n sites when its profiles close,
+``e^{i n k} = 1`` for the momentum k of every nonzero seed; the Fourier
+coin's cycles of 3m sites are one case of that rule.  This module also
+carries the specific closed-form measures the stefanak_eta / stefanak_rho
+families admit and a measure periodicity detector.
 """
 
 from __future__ import annotations
@@ -28,38 +29,38 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import CoinMatrix, fourier
+from .coin import CoinMatrix
 from .errors import (
     DegenerateSeeds,
+    NoCycleClosure,
     TanSingularity,
     TypeMismatch,
     UnsupportedFamily,
 )
-from .reduced import ReducedParams, WalkType, type1_params
+from .reduced import ReducedParams, WalkType
 from .state import Cycle, Measure, Seeds, Topology, WaveState
 
 __all__ = [
     "PERIOD_TOL",
+    "CLOSURE_TOL_PER_SITE",
     "type1_state",
+    "cycle_restriction",
     "type2_state",
     "measure_of",
     "closed_form_measure_a1",
     "closed_form_measure_type2",
     "detect_period",
-    "fourier_cycle_state",
-    "fourier_cycle_boundary_residuals",
 ]
 
 PERIOD_TOL = 1e-10
+CLOSURE_TOL_PER_SITE = 32 * 2.0**-52
 
 
-def _unimodular_powers(factor: complex, xs: np.ndarray) -> np.ndarray:
-    """factor**xs for a unimodular factor, computed through its phase.
-
-    Keeps the modulus exactly 1 for every (possibly negative) exponent,
-    which plain complex powers do not guarantee.
-    """
-    return np.exp(1j * cmath.phase(factor) * xs)
+def _momenta(params: ReducedParams) -> tuple[float, float]:
+    """k1 = arg(lam/a1) and k2 = arg(a2/lam).  Built as e^{i k x}, the Type 1
+    profiles keep modulus exactly 1 at every (possibly negative) site, which
+    plain complex powers of the unimodular ratios do not guarantee."""
+    return cmath.phase(params.lam / params.a_tilde_1), cmath.phase(params.a_tilde_2 / params.lam)
 
 
 def _stay_coefficient(coin: CoinMatrix, lam: complex) -> complex:
@@ -86,10 +87,42 @@ def type1_state(
         raise DegenerateSeeds("phi1 and phi3 are both zero")
 
     xs = topology.sites()
-    left = _unimodular_powers(params.lam / params.a_tilde_1, xs) * phi1
-    right = _unimodular_powers(params.a_tilde_2 / params.lam, xs) * phi3
+    k1, k2 = _momenta(params)
+    left = np.exp(1j * k1 * xs) * phi1
+    right = np.exp(1j * k2 * xs) * phi3
     stay = _stay_coefficient(coin, params.lam) * (coin.a21 * left + coin.a23 * right)
     return _finite_state(topology, left, stay, right)
+
+
+def cycle_restriction(
+    coin: CoinMatrix, params: ReducedParams, phi1: complex, phi3: complex, n: int
+) -> WaveState:
+    """The Type 1 eigenstate of a seed pair on the cycle of n sites.
+
+    The profiles ``e^{i k1 x} phi1`` and ``e^{i k2 x} phi3``, with momenta
+    k1 = arg(lam/a1) and k2 = arg(a2/lam), close on Cycle(n) exactly when
+    ``e^{i n k} = 1`` for every nonzero seed; a zero seed adds no condition.
+    Fourier (k1 = 2 pi/3, k2 = 0) closes on 3m sites, Grover and stefanak_rho
+    (k1 = k2 = 0) on every n.  Otherwise NoCycleClosure carries n and the
+    momentum and seam mismatch ``|e^{i n k} - 1|`` of the worst nonzero seed;
+    the unclosed state's eigen residual is the largest |phi| |e^{i n k} - 1|.
+
+    The mismatch may be CLOSURE_TOL_PER_SITE * n = 32 eps n (eps = 2^-52),
+    because its rounding error grows linearly in n: k is off by about an ulp
+    of k, and n k rounds by up to n |k| eps / 2.  Fourier's measured 7.7e-16
+    a site (2.3e-9 at n = 3e6), a ninth of the bound.  Momenta are read from
+    params as given: a coin classified at a looser tol may be off by that.
+    """
+    state = type1_state(coin, params, phi1, phi3, Cycle(n))
+    n = state.topology.n
+    mismatch, momentum = max(
+        (abs(cmath.exp(1j * k * n) - 1.0), k)
+        for seed, k in zip((phi1, phi3), _momenta(params))
+        if complex(seed) != 0
+    )
+    if mismatch > CLOSURE_TOL_PER_SITE * n:
+        raise NoCycleClosure(n, momentum, mismatch)
+    return state
 
 
 def type2_state(
@@ -273,44 +306,3 @@ def detect_period(measure: Measure, max_period: int | None = None) -> int | None
         if dev <= tol:
             return p
     return None
-
-
-def fourier_cycle_state(m: int, phi1: complex, phi3: complex) -> WaveState:
-    """Fourier Type 1 eigenstate restricted to the cycle of 3m sites.
-
-    The left-amplitude ratio of the Fourier Type 1 state is the cube root
-    of unity, so the line profile closes up on any cycle whose length is a
-    multiple of three; the restriction solves the cycle eigenvalue problem
-    at lambda = i for every seed pair.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if abs(complex(phi1)) + abs(complex(phi3)) == 0.0:
-        raise DegenerateSeeds("phi1 and phi3 are both zero")
-    coin = fourier()
-    return type1_state(coin, type1_params(coin), phi1, phi3, Cycle(3 * m))
-
-
-def fourier_cycle_boundary_residuals(state: WaveState) -> tuple[float, float]:
-    """Residuals of the two seam relations of the Fourier walk on a cycle.
-
-    On a cycle of N sites the eigenvalue equation at lambda = i couples the
-    seam sites 0 and N-1 through the coin rows:
-
-        sqrt(3) i right(0)   = left(N-1) + w^2 stay(N-1) + w right(N-1)
-        sqrt(3) i left(N-1)  = left(0) + stay(0) + right(0)
-
-    (w = exp(2 pi i / 3); the first relation uses the right-mover row of
-    the Fourier coin, the second the left-mover row).  Returns the two
-    absolute residuals; both vanish for fourier_cycle_state.
-    """
-    if not isinstance(state.topology, Cycle):
-        raise ValueError("boundary residuals are defined on cycles only")
-    w = cmath.exp(2j * cmath.pi / 3)
-    root3_i = math.sqrt(3.0) * 1j
-    first = state.amplitude(0)
-    last = state.amplitude(state.topology.n - 1)
-    r1 = abs(root3_i * first[2] - (last[0] + w * w * last[1] + w * last[2]))
-    r2 = abs(root3_i * last[0] - (first[0] + first[1] + first[2]))
-    return float(r1), float(r2)

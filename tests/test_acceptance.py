@@ -13,15 +13,15 @@ import numpy as np
 
 from qwstat import (
     Cycle,
+    NoCycleClosure,
     QWalkError,
     SquareConditionFailed,
     WaveState,
     Window,
+    cycle_restriction,
     detect_period,
     eigen_residual,
     fourier,
-    fourier_cycle_boundary_residuals,
-    fourier_cycle_state,
     grover,
     make_coin,
     measure_of,
@@ -110,17 +110,24 @@ def test_criterion_2_fourier_type1_period3():
 
 def test_criterion_3_cycle_boundary_conditions():
     crit = Criterion(3, "Fourier walk on cycles of 3m sites", 1.0)
+    coin = fourier()
+    params = type1_params(coin)
     rng = np.random.default_rng(33)
     for m in (1, 2, 4, 10):
         random_pair = (complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
         for phi1, phi3 in [(OMEGA, OMEGA * OMEGA), random_pair]:
-            state = fourier_cycle_state(m, phi1, phi3)
-            r1, r2 = fourier_cycle_boundary_residuals(state)
-            crit.check(r1 <= 1e-10, f"seam condition 1 residual {r1} at m={m}")
-            crit.check(r2 <= 1e-10, f"seam condition 2 residual {r2} at m={m}")
-    coin = fourier()
-    params = type1_params(coin)
+            state = cycle_restriction(coin, params, phi1, phi3, 3 * m)
+            # each seam relation of the Fourier walk, multiplied out by
+            # sqrt(3), has sqrt(3) times a channel's eigen residual at a seam
+            # site, so this bound keeps both seam residuals within 1e-10
+            r = eigen_residual(coin, state, 1j)
+            crit.check(r <= 1e-10 / math.sqrt(3), f"seam residual {r} at m={m}")
     for n in (10, 11):
+        try:
+            cycle_restriction(coin, params, OMEGA, OMEGA * OMEGA, n)
+            crit.check(False, f"closure error not raised on non-multiple-of-3 cycle N={n}")
+        except NoCycleClosure:
+            pass
         state = type1_state(coin, params, OMEGA, OMEGA * OMEGA, Cycle(n))
         report = verify_stationary(coin, state, 100, tol=1e-9)
         crit.check(
@@ -221,7 +228,7 @@ def test_criterion_7_fourier_type2_negative():
         expected = cmath.exp(1j * cmath.pi / 6)
         crit.check(abs(e.a_tilde_1 - expected) <= 1e-10, f"a1 = {e.a_tilde_1}")
         crit.check(abs(e.a_tilde_2 - expected) <= 1e-10, f"a2 = {e.a_tilde_2}")
-        rm = reduced_matrix(fourier(), e.lam).entries
+        rm = reduced_matrix(fourier(), e.lam)
         crit.check(
             abs(rm[0, 1] - e.a_tilde_1) <= 1e-10 and abs(rm[1, 0] - e.a_tilde_2) <= 1e-10,
             "reported entries disagree with the reduced matrix",
@@ -278,7 +285,7 @@ def test_criterion_8_reduced_matrix_consistency():
             p = None
         if p is not None:
             successes_t1 += 1
-            rm = reduced_matrix(coin, p.lam).entries
+            rm = reduced_matrix(coin, p.lam)
             ok = (
                 max(abs(rm[0, 1]), abs(rm[1, 0])) <= 1e-9
                 and abs(rm[0, 0] - p.a_tilde_1) <= 1e-9
@@ -291,7 +298,7 @@ def test_criterion_8_reduced_matrix_consistency():
             p = None
         if p is not None:
             successes_t2 += 1
-            rm = reduced_matrix(coin, p.lam).entries
+            rm = reduced_matrix(coin, p.lam)
             ok = (
                 max(abs(rm[0, 0]), abs(rm[1, 1])) <= 1e-9
                 and abs(rm[0, 1] - p.a_tilde_1) <= 1e-9

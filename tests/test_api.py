@@ -2,7 +2,8 @@
 
 A deleted or renamed function that ``__all__`` still lists, or that the
 benchmark's span recorder (``perfbench/spans.py``) still wraps, fails here
-instead of at import time or in a traced benchmark run.
+instead of at import time or in a traced benchmark run.  The README's quick
+tour must run as written.
 """
 
 import ast
@@ -17,7 +18,8 @@ import qwstat
 MODULES = ["qwstat"] + [
     f"qwstat.{m.name}" for m in pkgutil.iter_modules(qwstat.__path__) if m.name != "__main__"
 ]
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -41,3 +43,9 @@ def test_benchmark_hooks_resolve():
     assert len(hooks) > 1
     missing = [(m, a) for m, a, _ in hooks if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    exec(tour.split("```", 1)[0], {})

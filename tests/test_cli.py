@@ -25,6 +25,13 @@ from qwstat.state import Cycle, Window
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 
+def coin_with_parts(convert):
+    """The Grover coin's document with convert() applied to every re and im part."""
+    doc = coin_to_json(grover())
+    doc["matrix"] = [[[convert(part) for part in cell] for cell in row] for row in doc["matrix"]]
+    return doc
+
+
 class TestParsers:
     def test_complex_literals(self):
         assert parse_complex("1+2i") == 1 + 2j
@@ -523,6 +530,9 @@ class TestMisc:
             ("seeds", {"values": {"0": [1.0, 0.0, 0.0]}}),
             ("seeds", {"values": {"0": [1.0, 0.0], str(2**64): [1.0, 0.0]}}),
             ("seeds", {"values": {"0": [10**400, 0]}}),
+            ("coin", coin_with_parts(str)),
+            ("coin", coin_with_parts(bool)),
+            ("coin", coin_with_parts(lambda part: None)),
         ],
     )
     def test_malformed_input_file(self, tmp_path, capsys, kind, doc):

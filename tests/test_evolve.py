@@ -168,6 +168,29 @@ class TestEigenResidual:
         state = type1_state(coin, type1_params(coin), 1.0, 1.0, Cycle(12))
         assert eigen_residual(coin, state, 1j) < 1e-12
 
+    @pytest.mark.parametrize("topology", [Cycle(99_999), Window(500)])
+    def test_memory(self, topology):
+        # the scaled copy holds the difference: two state-sized arrays and
+        # the real moduli (24 bytes a site) at most, where three were alive
+        state = random_state(topology, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            residual = eigen_residual(grover(), state, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = state.amplitudes.nbytes
+        assert peak <= 2 * nbytes + 24 * topology.n_sites + 64 * 1024
+        # bit for bit the value and site of the unfused expression
+        diff = np.abs(step(grover(), state).amplitudes - complex(-1) * state.amplitudes)
+        sites = state.sites
+        if isinstance(topology, Window):
+            diff, sites = diff[1:-1], sites[1:-1]
+        worst = int(np.argmax(diff))
+        assert float(residual) == diff.flat[worst]
+        assert residual.site == sites[worst // 3]
+
     def test_random_state_far_from_eigen(self):
         rng = np.random.default_rng(123)
         state = random_state(Cycle(30), rng)

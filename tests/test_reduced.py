@@ -47,16 +47,17 @@ def symmetric_random_coin(rng):
 
 class TestReducedMatrix:
     def test_grover_at_minus_one(self):
-        rm = reduced_matrix(grover(), -1).entries
+        rm = reduced_matrix(grover(), -1)
+        assert rm.shape == (2, 2) and not rm.flags.writeable
         assert np.abs(rm - np.diag([-1, -1])).max() < 1e-12
 
     def test_fourier_at_i(self):
-        rm = reduced_matrix(fourier(), 1j).entries
+        rm = reduced_matrix(fourier(), 1j)
         expected = np.diag([cmath.exp(-1j * cmath.pi / 6), 1j])
         assert np.abs(rm - expected).max() < 1e-12
 
     def test_grover_at_plus_one(self):
-        rm = reduced_matrix(grover(), 1).entries
+        rm = reduced_matrix(grover(), 1)
         assert np.abs(rm - np.array([[0, 1], [1, 0]])).max() < 1e-12
 
     def test_zero_entry_rejected(self):
@@ -129,7 +130,7 @@ class TestType1:
             if np.abs(coin.matrix).min() < 1e-3 or abs(coin.a22) > 0.99:
                 continue
             p = type1_params(coin)
-            rm = reduced_matrix(coin, p.lam).entries
+            rm = reduced_matrix(coin, p.lam)
             assert max(abs(rm[0, 1]), abs(rm[1, 0])) < 1e-10
             assert abs(rm[0, 0] - p.a_tilde_1) < 1e-10
             assert abs(rm[1, 1] - p.a_tilde_2) < 1e-10
@@ -178,7 +179,7 @@ class TestType2:
         with pytest.raises(SquareConditionFailed) as exc:
             type2_params(fourier())
         e = exc.value
-        rm = reduced_matrix(fourier(), e.lam).entries
+        rm = reduced_matrix(fourier(), e.lam)
         assert abs(rm[0, 0]) < 1e-12 and abs(rm[1, 1]) < 1e-12
         assert abs(rm[0, 1] - e.a_tilde_1) < 1e-12
         assert abs(rm[1, 0] - e.a_tilde_2) < 1e-12
@@ -209,7 +210,7 @@ class TestStructuralIdentities:
                 continue
             c = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
             lam = -c / a[0, 2]
-            rm = reduced_matrix(coin, lam).entries
+            rm = reduced_matrix(coin, lam)
             assert abs(rm[0, 1]) < 1e-10
             checked += 1
 
@@ -349,4 +350,4 @@ class TestLooselyAcceptedCoin:
                 classify(coin)
         with pytest.raises(NonUnimodularLambda):
             reduced_matrix(coin, -(1 + 5e-9))
-        assert reduced_matrix(coin, -(1 + 5e-9), tol=1e-6).lam == -(1 + 5e-9)
+        reduced_matrix(coin, -(1 + 5e-9), tol=1e-6)  # accepted at the looser tol

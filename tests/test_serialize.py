@@ -86,6 +86,16 @@ def test_state_round_trip_on_window():
     assert np.array_equal(back.amplitudes, state.amplitudes)
 
 
+@pytest.mark.parametrize("entry", [["0.5", "0"], [True, False], [None, 0.0], [0.5], 0.5])
+def test_state_from_json_reads_only_pairs_of_numbers(entry):
+    coin = grover()
+    state = type1_state(coin, type1_params(coin), 1.0, 0.5, Cycle(4))
+    doc = json.loads(json.dumps(state_to_json(state)))
+    doc["amplitudes"]["2"][1] = entry
+    with pytest.raises(ValueError, match=r"\[re, im\] of two numbers"):
+        state_from_json(doc)
+
+
 def test_measure_round_trip():
     mu = Measure(Window(3), np.array([0.5, 1.0, 0.25, 3.0, 0.0, 1.5, 2.0]))
     back = measure_from_json(json.loads(json.dumps(measure_to_json(mu))))

@@ -10,6 +10,8 @@ from qwstat import (
     Cycle,
     DegenerateSeeds,
     Measure,
+    NoCycleClosure,
+    QWalkError,
     TanSingularity,
     TypeMismatch,
     UnsupportedFamily,
@@ -17,11 +19,10 @@ from qwstat import (
     Window,
     closed_form_measure_a1,
     closed_form_measure_type2,
+    cycle_restriction,
     detect_period,
     eigen_residual,
     fourier,
-    fourier_cycle_boundary_residuals,
-    fourier_cycle_state,
     grover,
     measure_of,
     stefanak_eta,
@@ -31,7 +32,7 @@ from qwstat import (
     type2_params,
     type2_state,
 )
-from qwstat.stationary import PERIOD_TOL, closed_form_applies
+from qwstat.stationary import CLOSURE_TOL_PER_SITE, PERIOD_TOL, closed_form_applies
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -514,23 +515,31 @@ def periodic_or_aperiodic_measures(draw):
     return Measure(topology, scale * values), max_period, block
 
 
+def fourier_restriction(phi1, phi3, n):
+    coin = fourier()
+    return cycle_restriction(coin, type1_params(coin), phi1, phi3, n)
+
+
 class TestFourierCycle:
+    """The Fourier Type 1 state on cycles: k1 = 2 pi/3 and k2 = 0, so a state
+    with phi1 != 0 closes exactly on the cycles of 3m sites."""
+
     def test_m1_measure(self):
-        mu = measure_of(fourier_cycle_state(1, OMEGA, OMEGA * OMEGA))
+        mu = measure_of(fourier_restriction(OMEGA, OMEGA * OMEGA, 3))
         assert np.abs(mu.values - [6.0, 3.0, 3.0]).max() < 1e-12
 
     def test_m2_repeats(self):
-        mu = measure_of(fourier_cycle_state(2, OMEGA, OMEGA * OMEGA))
+        mu = measure_of(fourier_restriction(OMEGA, OMEGA * OMEGA, 6))
         assert np.abs(mu.values - np.tile([6.0, 3.0, 3.0], 2)).max() < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_boundary_residuals(self, m):
-        state = fourier_cycle_state(m, 0.4 - 1.1j, 0.8 + 0.3j)
-        r1, r2 = fourier_cycle_boundary_residuals(state)
-        assert r1 < 1e-10 and r2 < 1e-10
+        # each seam relation is sqrt(3) times a channel's eigen relation
+        state = fourier_restriction(0.4 - 1.1j, 0.8 + 0.3j, 3 * m)
+        assert eigen_residual(fourier(), state, 1j) < 1e-10 / math.sqrt(3)
 
     def test_cycle_eigen_residual(self):
-        state = fourier_cycle_state(4, 1.0, 2.0)
+        state = fourier_restriction(1.0, 2.0, 12)
         assert eigen_residual(fourier(), state, 1j) < 1e-10
 
     def test_seed_independence_of_stationarity(self):
@@ -540,20 +549,106 @@ class TestFourierCycle:
 
         for _ in range(4):
             phi1, phi3 = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-            state = fourier_cycle_state(3, phi1, phi3)
+            state = fourier_restriction(phi1, phi3, 9)
             report = verify_stationary(fourier(), state, 60, tol=1e-9)
             assert report.passed
 
     def test_degenerate_seeds(self):
         with pytest.raises(DegenerateSeeds):
-            fourier_cycle_state(2, 0, 0)
+            fourier_restriction(0, 0, 6)
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
-            fourier_cycle_state(0, 1, 0)
+            fourier_restriction(1, 0, 0)
 
-    def test_boundary_residuals_need_cycle(self):
+    @pytest.mark.parametrize("m", [*range(1, 61), 333, 1000, 3333, 10_000, 33_333])
+    def test_closes_on_multiples_of_three(self, m):
+        state = fourier_restriction(OMEGA, OMEGA * OMEGA, 3 * m)
+        assert eigen_residual(fourier(), state, 1j) <= 1e-9
+        for n in (3 * m - 1, 3 * m + 1):
+            if n >= 3:
+                with pytest.raises(NoCycleClosure):
+                    fourier_restriction(OMEGA, OMEGA * OMEGA, n)
+
+    def test_zero_left_seed_closes_on_every_cycle(self):
+        for n in range(3, 61):
+            state = fourier_restriction(0, 1.0, n)
+            assert eigen_residual(fourier(), state, 1j) < 1e-12
+
+    def test_zero_right_seed_needs_three_to_divide_n(self):
+        for n in range(3, 61):
+            if n % 3:
+                with pytest.raises(NoCycleClosure):
+                    fourier_restriction(1.0, 0, n)
+            else:
+                assert eigen_residual(fourier(), fourier_restriction(1.0, 0, n), 1j) < 1e-12
+
+
+CLOSURE_COINS = {
+    "grover": grover(),
+    "fourier": fourier(),
+    "rho-0.4": stefanak_rho(0.4),
+    "eta-0.3": stefanak_eta(0.3),
+    "eta-0.7": stefanak_eta(0.7),
+    "eta-1.1": stefanak_eta(1.1),
+}
+
+
+class TestCycleRestriction:
+    @pytest.mark.parametrize("coin", [grover(), stefanak_rho(0.4)], ids=["grover", "rho-0.4"])
+    def test_zero_momenta_close_on_every_cycle(self, coin):
+        params = type1_params(coin)
+        for n in range(3, 61):
+            state = cycle_restriction(coin, params, 0.6 - 0.2j, -1.3j, n)
+            assert eigen_residual(coin, state, params.lam) < 1e-12
+
+    @pytest.mark.parametrize("eta", [0.3, 0.7, 1.1])
+    def test_stefanak_eta_closes_on_no_small_cycle(self, eta):
+        coin = stefanak_eta(eta)
+        params = type1_params(coin)
+        for n in range(3, 201):
+            with pytest.raises(NoCycleClosure) as info:
+                cycle_restriction(coin, params, 1.0, 0.5j, n)
+            assert info.value.n == n
+            assert info.value.mismatch >= 3e-3  # far from the rounding bound
+
+    @pytest.mark.parametrize("name", CLOSURE_COINS)
+    def test_closure_iff_the_seam_residual_vanishes(self, name):
+        # unit seeds: the eigen residual of the unrestricted state is the
+        # largest seam mismatch |e^{i n k} - 1| over the nonzero seeds
+        coin = CLOSURE_COINS[name]
+        params = type1_params(coin)
+        rng = np.random.default_rng(5)
+        for n in range(3, 61):
+            for use1, use3 in [(1, 0), (0, 1), (1, 1)]:
+                phi1, phi3 = (use * cmath.exp(2j * math.pi * rng.random()) for use in (use1, use3))
+                residual = eigen_residual(coin, type1_state(coin, params, phi1, phi3, Cycle(n)),
+                                          params.lam)
+                tol = CLOSURE_TOL_PER_SITE * n
+                try:
+                    state = cycle_restriction(coin, params, phi1, phi3, n)
+                except NoCycleClosure as exc:
+                    assert residual > tol
+                    assert exc.mismatch == pytest.approx(residual, rel=1e-9)
+                    assert residual.site in (0, n - 1)
+                else:
+                    assert residual <= tol
+                    assert eigen_residual(coin, state, params.lam) == residual
+
+    def test_error(self):
+        coin = fourier()
+        with pytest.raises(NoCycleClosure) as info:
+            cycle_restriction(coin, type1_params(coin), 1.0, 1.0, 10)
+        exc = info.value
+        assert isinstance(exc, QWalkError)
+        assert exc.n == 10
+        assert exc.momentum == pytest.approx(2 * math.pi / 3)
+        assert exc.mismatch == pytest.approx(abs(cmath.exp(20j * math.pi / 3) - 1))
+        assert "10 sites" in str(exc)
+
+    def test_seeds_and_params_are_checked_as_type1_state_checks_them(self):
         coin = grover()
-        state = type1_state(coin, type1_params(coin), 1, 0, Window(4))
-        with pytest.raises(ValueError):
-            fourier_cycle_boundary_residuals(state)
+        with pytest.raises(TypeMismatch):
+            cycle_restriction(coin, type2_params(coin), 1.0, 0.0, 6)
+        with pytest.raises(ValueError, match="finite"):
+            cycle_restriction(coin, type1_params(coin), math.nan, 0.0, 6)
