@@ -47,6 +47,7 @@ from .stationary import (
     type1_state,
     type2_state,
 )
+from .tolerance import DRIFT_TOL
 
 EXIT_OK = 0
 EXIT_CLASSIFY = 2
@@ -58,7 +59,7 @@ DEFAULTS = {
     "schema": 1,
     "topology": "cycle:30",
     "steps": 100,
-    "tol": 1e-9,
+    "tol": DRIFT_TOL,
     "phi1": "1",
     "phi3": "1",
     "type2_seeds": {"0": [1.0, 0.0]},
@@ -152,15 +153,16 @@ def _read_json_file(path: Path, what: str, parse):
             gc.enable()
 
 
-def resolve_tol(explicit: float | None) -> float:
-    """The drift tolerance: --tol, else QWSTAT_TOL, else the default.  A
-    negative or non-finite value is a UsageError naming where it came from."""
+def resolve_tol(explicit: float | None) -> tuple[float, str]:
+    """The drift tolerance and its source: --tol, else QWSTAT_TOL, else the
+    default.  A negative or non-finite value is a UsageError naming where it
+    came from."""
     if explicit is not None:
         tol, source = explicit, "--tol"
     else:
         env = os.environ.get("QWSTAT_TOL")
         if env is None:
-            return DEFAULTS["tol"]
+            return DEFAULTS["tol"], "default"
         try:
             tol = float(env)
         except ValueError:
@@ -168,7 +170,7 @@ def resolve_tol(explicit: float | None) -> float:
         source = "QWSTAT_TOL"
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"{source} must be a finite tolerance >= 0, got {tol!r}")
-    return tol
+    return tol, source
 
 
 def build_state(args, coin: CoinMatrix, topology: Topology):
@@ -289,17 +291,19 @@ def cmd_stationary(args) -> int:
 def cmd_verify(args) -> int:
     coin = load_coin(args)
     topology = parse_topology(args.topology)
-    tol = resolve_tol(args.tol)
+    tol, tol_source = resolve_tol(args.tol)
     state, params, _ = build_state(args, coin, topology)
     residual = eigen_residual(coin, state, params.lam)
     report = verify_stationary(coin, state, args.steps, tol=tol)
+    stationarity = report.as_dict()
+    stationarity["tol_source"] = tol_source
     doc = {
         "schema": 1,
         "coin": args.coin,
         "lambda": [params.lam.real, params.lam.imag],
         "eigen_residual": float(residual),
         "eigen_residual_site": residual.site,
-        "stationarity": report.as_dict(),
+        "stationarity": stationarity,
         "passed": report.passed,
     }
     sys.stdout.write(_json_text(doc))
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 ok, 2 classification failure, 3 stationarity drift, "
             "4 input error, 5 square-condition failure. "
-            "QWSTAT_TOL overrides the default tolerance (1e-9)."
+            f"QWSTAT_TOL overrides the default drift tolerance ({DRIFT_TOL:g} x max(mu0))."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -446,7 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[coin_p, state_p], help="check stationarity by evolution"
     )
     p.add_argument("--steps", type=int, default=DEFAULTS["steps"])
-    p.add_argument("--tol", type=float, help="drift tolerance (default QWSTAT_TOL or 1e-9)")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help=f"drift tolerance relative to max(mu0), the largest weight at step 0 "
+        f"(default QWSTAT_TOL or {DRIFT_TOL:g})",
+    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser(

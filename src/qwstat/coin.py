@@ -18,9 +18,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import DomainError, NonUnitary
+from .tolerance import UNITARITY_TOL
 
 __all__ = [
-    "UNITARITY_TOL",
     "CoinMatrix",
     "Minors",
     "make_coin",
@@ -31,8 +31,6 @@ __all__ = [
     "random_coin",
     "minors",
 ]
-
-UNITARITY_TOL = 1e-12
 
 _DIGITS = frozenset("123")
 

@@ -26,6 +26,7 @@ states as fit in ``BUDGET`` bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ from .coin import CoinMatrix
 from .errors import WindowTooSmall
 from .reduced import _check_unimodular
 from .state import Cycle, WaveState, Window
+from .tolerance import DRIFT_TOL
 
 __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 
@@ -112,7 +114,10 @@ class StationarityReport:
     drifts are round-off, and which step holds the largest can change with
     the order of the floating-point operations.
     ``leaked_norm`` is the total squared amplitude absorbed at window edges
-    (about zero on cycles).
+    (about zero on cycles).  ``max_measure_drift`` is absolute; ``tol`` is
+    relative to ``scale``, the largest weight max(mu_0) over all sites at
+    step 0, and the check passed iff the scale is finite and the drift is at
+    most tol * scale.
     """
 
     steps: int
@@ -121,6 +126,7 @@ class StationarityReport:
     interior: tuple[int, int]
     leaked_norm: float
     tol: float
+    scale: float
     passed: bool
 
     def as_dict(self) -> dict:
@@ -132,6 +138,7 @@ class StationarityReport:
             "interior": list(self.interior),
             "leaked_norm": self.leaked_norm,
             "tol": self.tol,
+            "scale": self.scale,
             "passed": self.passed,
         }
 
@@ -140,9 +147,13 @@ def verify_stationary(
     coin: CoinMatrix,
     state: WaveState,
     n_steps: int,
-    tol: float = 1e-9,
+    tol: float = DRIFT_TOL,
 ) -> StationarityReport:
     """Evolve n_steps times and record the worst measure drift from step 0.
+
+    The check passes iff the drift is at most ``tol * max(mu_0)``, so its
+    answer does not depend on the scale of the seeds.  A zero measure must
+    not drift at all, and a NaN or infinite max(mu_0) always fails.
 
     On a window the comparison at step k is restricted to sites
     -W+k..W-k, the region boundary truncation cannot have reached, and
@@ -150,12 +161,13 @@ def verify_stationary(
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    tol = float(tol)
     topo = state.topology
     windowed = isinstance(topo, Window)
     if windowed and n_steps >= topo.half_width:
         raise WindowTooSmall(n_steps, topo.half_width)
 
-    drifts, norm0, norm = _drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
+    drifts, norm0, norm, scale = _drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
     drift = float(drifts.max())  # NaN propagates, so a NaN state cannot pass
     leaked = float(np.maximum(norm0 - norm, 0.0))  # clamps round-off, keeps a NaN
     if windowed:
@@ -168,8 +180,10 @@ def verify_stationary(
         worst_step=int(np.argmax(drifts)) + 1,  # argmax stops at the first NaN
         interior=interior,
         leaked_norm=leaked,
-        tol=float(tol),
-        passed=drift <= tol,
+        tol=tol,
+        scale=scale,
+        # a finite scale first: an overflowed state would pass inf <= inf
+        passed=math.isfinite(scale) and drift <= tol * scale,
     )
 
 
@@ -187,9 +201,10 @@ def _real_form(a: np.ndarray) -> np.ndarray:
 
 def _drift_trace(
     a: np.ndarray, amps: np.ndarray, n_steps: int, windowed: bool
-) -> tuple[np.ndarray, float, float]:
-    """Evolve a copy of amps n_steps times; return the drift of each step and
-    the squared norm before the first step and after the last.
+) -> tuple[np.ndarray, float, float, float]:
+    """Evolve a copy of amps n_steps times; return the drift of each step,
+    the squared norm before the first step and after the last, and the
+    largest weight of the measure before the first step (NaN if any is).
 
     Every step's state gets its own slot of a (block, 6 (N+2) + 3) real
     array.  A slot holds six rows of N+2 values, the real and imaginary
@@ -272,4 +287,4 @@ def _drift_trace(
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count], where=inside, initial=0.0)
         else:
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count])
-    return drifts, float(mu0.sum()), float(measure(x[None])[0].sum())
+    return drifts, float(mu0.sum()), float(measure(x[None])[0].sum()), float(mu0.max())

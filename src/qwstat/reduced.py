@@ -40,24 +40,15 @@ from .errors import (
     SquareConditionFailed,
     ZeroEntry,
 )
+from .tolerance import RTOL, ZERO_ENTRY_TOL
 
 __all__ = [
-    "CONSISTENCY_TOL",
-    "ZERO_ENTRY_TOL",
-    "CENTRAL_TOL",
     "WalkType",
     "ReducedParams",
     "reduced_matrix",
     "type1_params",
     "type2_params",
 ]
-
-# One order looser than the unitarity tolerance: the lambda candidates are
-# quotients of products of entries and absorb a few rounding steps.
-CONSISTENCY_TOL = 1e-10
-ZERO_ENTRY_TOL = 1e-14
-CENTRAL_TOL = 1e-10
-
 
 class WalkType(Enum):
     TYPE1 = 1
@@ -85,12 +76,12 @@ def _require_reducible(coin: CoinMatrix) -> None:
         for j in range(3):
             if abs(a[i, j]) <= ZERO_ENTRY_TOL:
                 raise ZeroEntry(i + 1, j + 1)
-    if abs(abs(a[1, 1]) - 1.0) <= CENTRAL_TOL:
+    if abs(abs(a[1, 1]) - 1.0) <= RTOL:
         raise CentralReflection(abs(a[1, 1]))
 
 
 def reduced_matrix(
-    coin: CoinMatrix, lam: complex, tol: float = CONSISTENCY_TOL
+    coin: CoinMatrix, lam: complex, tol: float = RTOL
 ) -> np.ndarray:
     """The reduced matrix at a unimodular lambda, as a read-only 2x2 array.
 
@@ -115,7 +106,7 @@ def reduced_matrix(
     return entries
 
 
-def _check_unimodular(lam: complex, tol: float = CONSISTENCY_TOL) -> None:
+def _check_unimodular(lam: complex, tol: float = RTOL) -> None:
     """Raise NonUnimodularLambda unless |lam| is within tol of 1."""
     if abs(abs(lam) - 1.0) > tol:
         raise NonUnimodularLambda(lam)
@@ -158,7 +149,7 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     return ReducedParams(walk_type, complex(lam1), complex(a1), complex(a2), abs(lam1 - lam2))
 
 
-def type1_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParams:
+def type1_params(coin: CoinMatrix, tol: float = RTOL) -> ReducedParams:
     """Classify a coin as Type 1 and extract (lambda, a1, a2).
 
     Succeeds iff -C/a13 and -D/a31 agree within ``tol`` and lie on the unit
@@ -169,7 +160,7 @@ def type1_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParam
     return _classify(coin, WalkType.TYPE1, tol)
 
 
-def type2_params(coin: CoinMatrix, tol: float = CONSISTENCY_TOL) -> ReducedParams:
+def type2_params(coin: CoinMatrix, tol: float = RTOL) -> ReducedParams:
     """Classify a coin as Type 2 and extract (lambda, a1, a2).
 
     Succeeds iff B/a11 and E/a33 agree within ``tol``, lie on the unit

@@ -60,11 +60,10 @@ def coin_to_json(coin: CoinMatrix) -> dict:
     return {"schema": SCHEMA_VERSION, "matrix": matrix}
 
 
-def coin_from_json(obj, tol: float | None = None) -> CoinMatrix:
+def coin_from_json(obj) -> CoinMatrix:
     """Read a coin from a parsed JSON document (wrapped or bare 3x3 array)."""
     matrix = obj["matrix"] if isinstance(obj, dict) else obj
-    m = np.array([_complex_array(row, "coin entry") for row in matrix])
-    return make_coin(m) if tol is None else make_coin(m, tol=tol)
+    return make_coin(np.array([_complex_array(row, "coin entry") for row in matrix]))
 
 
 def topology_to_json(topology: Topology) -> dict:
@@ -94,10 +93,17 @@ def state_to_json(state: WaveState) -> dict:
 
 
 def state_from_json(obj) -> WaveState:
+    """Read a state; each listed site holds exactly three [re, im] pairs, the
+    left, stay and right amplitudes, and sites not listed are zero."""
     topology = topology_from_json(obj["topology"])
     amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
     for key, triple in obj["amplitudes"].items():
-        amps[topology.index_of(int(key))] = _complex_array(triple, "amplitude")
+        channels = _complex_array(triple, "amplitude")
+        if len(channels) != 3:
+            raise ValueError(
+                f"site {key} must hold three [re, im] pairs, one per channel, got {len(channels)}"
+            )
+        amps[topology.index_of(int(key))] = channels
     return WaveState._adopt(topology, amps)
 
 

@@ -39,10 +39,9 @@ from .errors import (
 )
 from .reduced import ReducedParams, WalkType
 from .state import Cycle, Measure, Seeds, Topology, WaveState
+from .tolerance import CLOSURE_TOL_PER_SITE, RTOL, TAN_POLE_TOL
 
 __all__ = [
-    "PERIOD_TOL",
-    "CLOSURE_TOL_PER_SITE",
     "type1_state",
     "cycle_restriction",
     "type2_state",
@@ -51,9 +50,6 @@ __all__ = [
     "closed_form_measure_type2",
     "detect_period",
 ]
-
-PERIOD_TOL = 1e-10
-CLOSURE_TOL_PER_SITE = 32 * 2.0**-52
 
 
 def _momenta(params: ReducedParams) -> tuple[float, float]:
@@ -107,11 +103,10 @@ def cycle_restriction(
     momentum and seam mismatch ``|e^{i n k} - 1|`` of the worst nonzero seed;
     the unclosed state's eigen residual is the largest |phi| |e^{i n k} - 1|.
 
-    The mismatch may be CLOSURE_TOL_PER_SITE * n = 32 eps n (eps = 2^-52),
-    because its rounding error grows linearly in n: k is off by about an ulp
-    of k, and n k rounds by up to n |k| eps / 2.  Fourier's measured 7.7e-16
-    a site (2.3e-9 at n = 3e6), a ninth of the bound.  Momenta are read from
-    params as given: a coin classified at a looser tol may be off by that.
+    The mismatch may be CLOSURE_TOL_PER_SITE * n, because its rounding error
+    grows linearly in n (see :mod:`qwstat.tolerance`).  Momenta are read
+    from params as given: a coin classified at a looser tol may be off by
+    that.
     """
     state = type1_state(coin, params, phi1, phi3, Cycle(n))
     n = state.topology.n
@@ -210,7 +205,7 @@ def closed_form_measure_a1(eta: float, phi1: complex, x: int) -> float:
     is the real part of the Type 1 eigenvalue.
     """
     eta = float(eta)
-    if abs(math.cos(eta)) < 1e-12:
+    if abs(math.cos(eta)) < TAN_POLE_TOL:
         raise TanSingularity(f"cos(eta) vanishes at eta = {eta!r}")
     c2 = math.cos(2.0 * eta)
     cos_xi = (10.0 - 26.0 * c2) / (26.0 - 10.0 * c2)
@@ -278,7 +273,7 @@ def closed_form_measure_type2(
 def detect_period(measure: Measure, max_period: int | None = None) -> int | None:
     """Smallest p <= max_period with mu(x + p) = mu(x) everywhere, or None.
 
-    Equality is within PERIOD_TOL relative to max(mu), so the answer does
+    Equality is within RTOL relative to max(mu), so the answer does
     not depend on the scale of the seeds; an all-zero measure needs exact
     equality.  p = 1 means the measure is uniform.  ``max_period`` defaults
     to half the number of sites and may not exceed it.
@@ -294,7 +289,7 @@ def detect_period(measure: Measure, max_period: int | None = None) -> int | None
         max_period = n // 2
     if not 1 <= max_period <= n // 2:
         raise ValueError(f"max_period must be in [1, {n // 2}], got {max_period}")
-    tol = PERIOD_TOL * v.max(initial=0.0)
+    tol = RTOL * v.max(initial=0.0)
     on_cycle = isinstance(measure.topology, Cycle)
     for p in range(1, max_period + 1):
         if on_cycle and n % p:

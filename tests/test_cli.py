@@ -21,6 +21,7 @@ from qwstat.cli import (
 )
 from qwstat.serialize import coin_to_json, state_from_json
 from qwstat.state import Cycle, Window
+from qwstat.tolerance import DRIFT_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -306,6 +307,37 @@ class TestVerify:
         assert captured.out == ""
         source = "QWSTAT_TOL" if flag is None else "--tol"
         assert captured.err.startswith(f"error: {source} must be a finite tolerance >= 0")
+
+    @pytest.mark.parametrize(
+        ("flag", "env", "source", "tol"),
+        [
+            (None, None, "default", DRIFT_TOL),
+            (None, "1e-7", "QWSTAT_TOL", 1e-7),
+            ("1e-8", "1e-7", "--tol", 1e-8),
+        ],
+    )
+    def test_tolerance_source_is_reported(self, capsys, monkeypatch, flag, env, source, tol):
+        if env is None:
+            monkeypatch.delenv("QWSTAT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QWSTAT_TOL", env)
+        flags = [] if flag is None else ["--tol", flag]
+        code = main(["verify", "--coin", "grover", "--type", "1", "--topology", "cycle:12", *flags])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["stationarity"]
+        assert (report["tol"], report["tol_source"]) == (tol, source)
+        assert report["scale"] == pytest.approx(6.0)  # the seeds 1, 1 give weight 6 at every site
+
+    def test_large_seeds_pass(self, capsys, monkeypatch):
+        # the drift, 9.5e-7, is round-off of weights of 6e8; it used to fail
+        # an absolute tolerance of 1e-9 with exit 3
+        monkeypatch.delenv("QWSTAT_TOL", raising=False)
+        argv = ["verify", "--coin", "grover", "--type", "1", "--phi1", "1e4", "--phi3", "1e4"]
+        assert main([*argv, "--topology", "cycle:12"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)["stationarity"]
+        assert report["max_measure_drift"] > report["tol"]
+        assert report["max_measure_drift"] <= report["tol"] * report["scale"]
+        assert report["passed"] is True
 
     def test_zero_tolerance_is_allowed(self, capsys, monkeypatch):
         monkeypatch.setenv("QWSTAT_TOL", "0")

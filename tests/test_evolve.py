@@ -12,10 +12,12 @@ from qwstat import (
     WaveState,
     Window,
     WindowTooSmall,
+    cycle_restriction,
     eigen_residual,
     fourier,
     grover,
     make_coin,
+    measure_of,
     minors,
     random_coin,
     step,
@@ -24,6 +26,7 @@ from qwstat import (
     type1_params,
     type1_state,
     type2_params,
+    type2_state,
     verify_stationary,
 )
 
@@ -405,6 +408,98 @@ class TestVerifyStationary:
         assert report.passed is False
 
 
+def exact_state(kind, size, seed_scale, rng):
+    """An exact eigenstate of one of four kinds, its seeds of modulus 0.5..2
+    times seed_scale at random phases: (coin, state)."""
+
+    def seed():
+        return seed_scale * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+
+    if kind == "fourier-type1":  # closes on 3m sites only
+        coin = fourier()
+        return coin, cycle_restriction(coin, type1_params(coin), seed(), seed(), 3 * size)
+    topology = Cycle(size) if size > 0 else Window(-size)
+    if kind == "grover-type1":
+        coin = grover()
+        return coin, type1_state(coin, type1_params(coin), seed(), seed(), topology)
+    coin = grover() if kind == "grover-type2" else stefanak_rho(rng.uniform(0.1, 0.9))
+    lo, hi = topology.sites()[0] - 1, topology.sites()[-1]
+    seeds = {x: seed() for x in range(int(lo), int(hi) + 1)}
+    return coin, type2_state(coin, type2_params(coin), seeds, topology)
+
+
+class TestRelativeDrift:
+    """The drift check is relative to max(mu_0), so its answer does not
+    depend on the scale of the seeds."""
+
+    @given(
+        kind=st.sampled_from(["grover-type1", "grover-type2", "fourier-type1", "rho-type2"]),
+        # a cycle of n sites (n > 0) or a window of half-width -n; for
+        # Fourier, a cycle of 3n sites
+        size=st.sampled_from([3, 4, 7, 12, 30, 61, -13, -20, -41]),
+        exponent=st.floats(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_exact_passes_and_perturbed_fails_at_every_seed_scale(self, kind, size, exponent, seed):
+        if kind == "fourier-type1":
+            size = abs(size)
+        rng = np.random.default_rng(seed)
+        coin, state = exact_state(kind, size, 10.0**exponent, rng)
+        n_steps = 12
+        report = verify_stationary(coin, state, n_steps)
+        assert report.passed, report
+        assert report.scale == pytest.approx(measure_of(state).values.max(), rel=1e-14)
+        # one amplitude, the largest at the middle site, moved by 1e-3 of
+        # its modulus in a random direction
+        amps = state.amplitudes.copy()
+        middle = len(amps) // 2
+        channel = int(np.argmax(np.abs(amps[middle])))
+        amps[middle, channel] += 1e-3 * abs(amps[middle, channel]) * np.exp(2j * np.pi * rng.uniform())
+        report = verify_stationary(coin, WaveState(state.topology, amps), n_steps)
+        assert not report.passed, report
+
+    def test_small_random_state_fails(self):
+        # a random state is no eigenstate at any scale; scaled by 1e-6 its
+        # drift, 1.9e-11, used to pass an absolute tolerance of 1e-9
+        rng = np.random.default_rng(0)
+        state = WaveState(Cycle(60), 1e-6 * random_state(Cycle(60), rng).amplitudes)
+        report = verify_stationary(grover(), state, 50)
+        assert report.max_measure_drift < 1e-9
+        assert report.max_measure_drift > 0.1 * report.scale
+        assert report.passed is False
+
+    def test_large_seeds_pass(self):
+        # seeds of 1e4: the drift is round-off of measures near 6e8, 9.5e-7,
+        # which used to fail an absolute tolerance of 1e-9
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), 1e4, 1e4, Cycle(12))
+        report = verify_stationary(coin, state, 100)
+        assert report.max_measure_drift > 1e-9
+        assert report.passed is True
+
+    def test_infinite_scale_fails(self):
+        # |1e200|^2 overflows: a left mover leaves an infinite weight behind,
+        # so the drift is inf, and inf <= tol * inf would pass it
+        state = impulses(Cycle(12), {(5, 0): 1e200})
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_stationary(make_coin(np.eye(3)), state, 3)
+        assert report.scale == np.inf
+        assert report.max_measure_drift == np.inf
+        assert report.passed is False
+
+    def test_zero_state_needs_zero_drift(self):
+        state = WaveState(Cycle(5), np.zeros((5, 3), dtype=complex))
+        report = verify_stationary(grover(), state, 4)
+        assert (report.scale, report.max_measure_drift, report.passed) == (0.0, 0.0, True)
+
+    def test_scale_is_the_largest_initial_weight(self):
+        state = impulses(Window(8), {(0, 0): 3.0, (8, 1): 1.0})  # sites -8 and 0
+        report = verify_stationary(make_coin(np.eye(3)), state, 2)
+        assert report.scale == 9.0
+        assert report.as_dict()["scale"] == 9.0
+
+
 def block_cases():
     """(topology, n_steps, steps per block, blocks) that put the verify kernel
     in each regime of its ring, with sizes taken from the module's BUDGET."""
@@ -441,7 +536,7 @@ class TestRing:
     def check(coin, state, n_steps):
         before = state.amplitudes.copy()
         windowed = isinstance(state.topology, Window)
-        drifts, norm0, norm = evolve._drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
+        drifts, norm0, norm, _ = evolve._drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
         want, leaked = step_loop_drifts(coin, state, n_steps)
         assert np.array_equal(state.amplitudes, before, equal_nan=True)
         assert np.array_equal(np.isnan(drifts), np.isnan(want))

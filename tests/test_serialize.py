@@ -96,6 +96,14 @@ def test_state_from_json_reads_only_pairs_of_numbers(entry):
         state_from_json(doc)
 
 
+@pytest.mark.parametrize("pairs", [1, 2, 4])
+def test_state_from_json_needs_one_pair_per_channel(pairs):
+    # a single pair used to be broadcast to all three channels
+    doc = {"topology": {"kind": "cycle", "n": 3}, "amplitudes": {"0": [[1.0, 2.0]] * pairs}}
+    with pytest.raises(ValueError, match=rf"site 0 must hold three \[re, im\] pairs.*got {pairs}"):
+        state_from_json(doc)
+
+
 def test_measure_round_trip():
     mu = Measure(Window(3), np.array([0.5, 1.0, 0.25, 3.0, 0.0, 1.5, 2.0]))
     back = measure_from_json(json.loads(json.dumps(measure_to_json(mu))))

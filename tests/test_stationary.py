@@ -32,7 +32,8 @@ from qwstat import (
     type2_params,
     type2_state,
 )
-from qwstat.stationary import CLOSURE_TOL_PER_SITE, PERIOD_TOL, closed_form_applies
+from qwstat.stationary import closed_form_applies
+from qwstat.tolerance import CLOSURE_TOL_PER_SITE, RTOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -441,7 +442,7 @@ class TestDetectPeriod:
     def test_ramp_below_tolerance_is_uniform_on_a_window_only(self):
         # each step is below the tolerance, but on a cycle the pair that wraps
         # sees the whole rise
-        ramp = 1.0 + 0.3 * PERIOD_TOL * np.arange(13)
+        ramp = 1.0 + 0.3 * RTOL * np.arange(13)
         assert detect_period(Measure(Window(6), ramp)) == 1
         assert detect_period(Measure(Cycle(12), ramp[:12])) is None
 
@@ -474,7 +475,7 @@ class TestDetectPeriod:
 def brute_force_period(measure, max_period):
     """Every shift 1..max_period, compared through np.roll on cycles."""
     v = measure.values
-    tol = PERIOD_TOL * v.max(initial=0.0)
+    tol = RTOL * v.max(initial=0.0)
     for p in range(1, max_period + 1):
         if isinstance(measure.topology, Cycle):
             dev = np.abs(np.roll(v, -p) - v).max()
@@ -509,7 +510,7 @@ def periodic_or_aperiodic_measures(draw):
         block = draw(st.sampled_from(lengths))
         values = np.resize(rng.uniform(0.5, 1.5, block), n)
         if kind == "noisy":
-            values *= 1.0 + 1e-4 * PERIOD_TOL * rng.uniform(-1.0, 1.0, n)
+            values *= 1.0 + 1e-4 * RTOL * rng.uniform(-1.0, 1.0, n)
     scale = 10.0 ** draw(st.integers(-8, 8))
     max_period = draw(st.integers(1, n // 2))
     return Measure(topology, scale * values), max_period, block
