@@ -10,105 +10,22 @@ The package splits into:
 - :mod:`qwstat.cli` -- the ``qwstat`` command line tool
 """
 
-from .coin import (
-    CoinMatrix,
-    Minors,
-    fourier,
-    grover,
-    make_coin,
-    minors,
-    random_coin,
-    stefanak_eta,
-    stefanak_rho,
-)
-from .errors import (
-    CentralReflection,
-    DegenerateSeeds,
-    DomainError,
-    InconsistentLambda,
-    NoCycleClosure,
-    NonUnimodularLambda,
-    NonUnitary,
-    QWalkError,
-    SquareConditionFailed,
-    TanSingularity,
-    TypeMismatch,
-    UnsupportedFamily,
-    WindowTooSmall,
-    ZeroEntry,
-)
-from .evolve import StationarityReport, eigen_residual, step, verify_stationary
-from .reduced import (
-    ReducedParams,
-    WalkType,
-    reduced_matrix,
-    type1_params,
-    type2_params,
-)
-from .state import Cycle, Measure, Seeds, Topology, WaveState, Window
-from .stationary import (
-    closed_form_measure_a1,
-    closed_form_measure_type2,
-    cycle_restriction,
-    detect_period,
-    measure_of,
-    type1_state,
-    type2_state,
-)
+from . import coin, errors, evolve, reduced, state, stationary
+from .coin import *
+from .errors import *
+from .evolve import *
+from .reduced import *
+from .state import *
+from .stationary import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # coins
-    "CoinMatrix",
-    "Minors",
-    "make_coin",
-    "grover",
-    "fourier",
-    "stefanak_eta",
-    "stefanak_rho",
-    "random_coin",
-    "minors",
-    # classification
-    "WalkType",
-    "ReducedParams",
-    "reduced_matrix",
-    "type1_params",
-    "type2_params",
-    # topologies and containers
-    "Window",
-    "Cycle",
-    "Topology",
-    "WaveState",
-    "Measure",
-    "Seeds",
-    # stationary states and measures
-    "type1_state",
-    "cycle_restriction",
-    "type2_state",
-    "measure_of",
-    "closed_form_measure_a1",
-    "closed_form_measure_type2",
-    "detect_period",
-    # evolution oracle
-    "step",
-    "eigen_residual",
-    "verify_stationary",
-    "StationarityReport",
-    # errors
-    "QWalkError",
-    "NonUnitary",
-    "DomainError",
-    "ZeroEntry",
-    "CentralReflection",
-    "NonUnimodularLambda",
-    "InconsistentLambda",
-    "SquareConditionFailed",
-    "DegenerateSeeds",
-    "NoCycleClosure",
-    "TypeMismatch",
-    "TanSingularity",
-    "UnsupportedFamily",
-    "WindowTooSmall",
+    *coin.__all__,
+    *reduced.__all__,
+    *state.__all__,
+    *stationary.__all__,
+    *evolve.__all__,
+    *errors.__all__,
 ]

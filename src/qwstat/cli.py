@@ -30,6 +30,7 @@ from .errors import (
 from .evolve import eigen_residual, verify_stationary
 from .reduced import ReducedParams, type1_params, type2_params
 from .serialize import (
+    SCHEMA_VERSION,
     coin_from_json,
     measure_to_csv,
     measure_to_json,
@@ -56,7 +57,7 @@ EXIT_INPUT = 4
 EXIT_SQUARE = 5
 
 DEFAULTS = {
-    "schema": 1,
+    "schema": SCHEMA_VERSION,
     "topology": "cycle:30",
     "steps": 100,
     "tol": DRIFT_TOL,
@@ -124,7 +125,7 @@ def load_coin(args) -> CoinMatrix:
 
 def load_seeds(args) -> Seeds:
     if args.seeds is None:
-        return Seeds([0], [1.0])
+        return seeds_from_json(DEFAULTS["type2_seeds"])
     return _read_json_file(Path(args.seeds), "seeds", seeds_from_json)
 
 
@@ -234,7 +235,7 @@ def _params_line(label: str, params: ReducedParams) -> str:
 def cmd_classify(args) -> int:
     coin = load_coin(args)
     wanted = [1, 2] if args.type == "both" else [int(args.type)]
-    report: dict = {"schema": 1, "coin": args.coin}
+    report: dict = {"schema": SCHEMA_VERSION, "coin": args.coin}
     failures: list[int] = []
     for t, fn in ((1, type1_params), (2, type2_params)):
         if t not in wanted:
@@ -298,7 +299,7 @@ def cmd_verify(args) -> int:
     stationarity = report.as_dict()
     stationarity["tol_source"] = tol_source
     doc = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "coin": args.coin,
         "lambda": [params.lam.real, params.lam.imag],
         "eigen_residual": float(residual),
@@ -339,21 +340,23 @@ def cmd_sweep(args) -> int:
     option = _PARAM_FAMILIES[args.coin][1]
     topology = parse_topology(args.topology)
     grid = parse_grid(args)
+    names = [f"{args.coin.replace('-', '_')}_{value:.6f}.csv" for value in grid]
+    if len(set(names)) < len(names):
+        clash = next(name for i, name in enumerate(names) if name in names[:i])
+        raise UsageError(f"two sweep values would both write {clash}; file names keep 6 decimals")
     # Every point is computed before anything is written, so a grid value
     # that fails leaves no output directory and no partial sweep behind.
     # CSV text is rendered only as each file is written, so at most one is
     # held in memory.
     points = []
     columns = []  # (CSV name, measure, closed-form column) per point
-    for value in grid:
+    for value, name in zip(grid, names):
         sub = argparse.Namespace(**vars(args))
         setattr(sub, option, value)
         coin = load_coin(sub)
         state, params, seeds = build_state(sub, coin, topology)
         measure = measure_of(state)
         closed = closed_form_column(sub, coin, topology, seeds)
-
-        name = f"{args.coin.replace('-', '_')}_{value:.6f}.csv"
         columns.append((name, measure, closed))
 
         max_diff = (
@@ -368,7 +371,7 @@ def cmd_sweep(args) -> int:
             }
         )
     summary = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "coin": args.coin,
         "type": args.type,
         "topology": args.topology,

@@ -197,7 +197,11 @@ def random_coin(rng: np.random.Generator | None = None) -> CoinMatrix:
 
 def minors(coin: CoinMatrix) -> Minors:
     """The four corner/cross 2x2 determinants of the coin."""
-    a = coin.matrix
+    return _minors(coin.matrix)
+
+
+def _minors(a: np.ndarray) -> Minors:
+    """The minors of a 3x3 array, which need not be a validated coin."""
     return Minors(
         B=complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]),
         C=complex(a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]),

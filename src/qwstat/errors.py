@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "QWalkError",
+    "NonUnitary",
+    "DomainError",
+    "ZeroEntry",
+    "CentralReflection",
+    "NonUnimodularLambda",
+    "InconsistentLambda",
+    "SquareConditionFailed",
+    "DegenerateSeeds",
+    "NoCycleClosure",
+    "TypeMismatch",
+    "TanSingularity",
+    "UnsupportedFamily",
+    "WindowTooSmall",
+]
+
 
 class QWalkError(Exception):
     """Base class for every error this package raises on purpose."""

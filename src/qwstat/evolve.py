@@ -27,13 +27,14 @@ states as fit in ``BUDGET`` bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coin import CoinMatrix
 from .errors import WindowTooSmall
 from .reduced import _check_unimodular
+from .serialize import SCHEMA_VERSION
 from .state import Cycle, WaveState, Window
 from .tolerance import DRIFT_TOL
 
@@ -130,17 +131,8 @@ class StationarityReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "steps": self.steps,
-            "max_measure_drift": self.max_measure_drift,
-            "worst_step": self.worst_step,
-            "interior": list(self.interior),
-            "leaked_norm": self.leaked_norm,
-            "tol": self.tol,
-            "scale": self.scale,
-            "passed": self.passed,
-        }
+        """The report's fields, plus the JSON schema, with ``interior`` a list."""
+        return {"schema": SCHEMA_VERSION, **asdict(self), "interior": list(self.interior)}
 
 
 def verify_stationary(

@@ -20,19 +20,18 @@ in closed form:
 
 Swapping columns 1 and 3 of the coin turns its Type 1 candidates -C/a13,
 -D/a31 and entries a1, a2 into the Type 2 ones above, so both types run one
-classifier: Type 2 runs it on the swapped coin and adds the square condition.
-Both classifications need every coin entry nonzero.
+classifier: Type 2 runs it on the column-swapped matrix and adds the square
+condition.  Both classifications need every coin entry nonzero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .coin import CoinMatrix, minors
+from .coin import CoinMatrix, Minors, _minors, minors
 from .errors import (
     CentralReflection,
     InconsistentLambda,
@@ -49,6 +48,7 @@ __all__ = [
     "type1_params",
     "type2_params",
 ]
+
 
 class WalkType(Enum):
     TYPE1 = 1
@@ -70,8 +70,7 @@ class ReducedParams:
     residual: float
 
 
-def _require_reducible(coin: CoinMatrix) -> None:
-    a = coin.matrix
+def _require_reducible(a: np.ndarray) -> None:
     for i in range(3):
         for j in range(3):
             if abs(a[i, j]) <= ZERO_ENTRY_TOL:
@@ -89,11 +88,16 @@ def reduced_matrix(
     of the reduction, and NonUnimodularLambda when |lambda| is more than
     tol off the unit circle.
     """
-    _require_reducible(coin)
+    _require_reducible(coin.matrix)
     lam = complex(lam)
     _check_unimodular(lam, tol)
-    a = coin.matrix
-    m = minors(coin)
+    entries = _reduced(coin.matrix, minors(coin), lam)
+    entries.setflags(write=False)
+    return entries
+
+
+def _reduced(a: np.ndarray, m: Minors, lam: complex) -> np.ndarray:
+    """The reduced matrix of the 3x3 array a, whose minors are m, at lam."""
     top = np.array(
         [
             [lam * a[0, 0] - m.B, lam * a[0, 2] + m.C],
@@ -101,9 +105,7 @@ def reduced_matrix(
         ],
         dtype=np.complex128,
     )
-    entries = top / (lam - a[1, 1])
-    entries.setflags(write=False)
-    return entries
+    return top / (lam - a[1, 1])
 
 
 def _check_unimodular(lam: complex, tol: float = RTOL) -> None:
@@ -125,13 +127,11 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     columns 1 and 3 swapped, where -C/a13, -D/a31 and the diagonal entries
     a1, a2 are the Type 2 candidates and anti-diagonal entries."""
     candidates, shape = _LABELS[walk_type]
-    _require_reducible(coin)
-    if walk_type is WalkType.TYPE2:
-        # A column permutation leaves A A* unchanged, so the swapped copy is
-        # as unitary as the coin, which passed its own tolerance when built.
-        coin = CoinMatrix(coin.matrix[:, ::-1], tol=math.inf)
     a = coin.matrix
-    m = minors(coin)
+    _require_reducible(a)  # a column swap keeps every entry, so once is enough
+    if walk_type is WalkType.TYPE2:
+        a = a[:, ::-1]
+    m = _minors(a)
     lam1 = -m.C / a[0, 2]
     lam2 = -m.D / a[2, 0]
     if abs(lam1 - lam2) > tol:
@@ -142,11 +142,11 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > tol:
         raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
 
-    rm = reduced_matrix(coin, lam1, tol)
-    if np.abs(rm - np.diag([a1, a2])).max() > tol:
+    lam = complex(lam1)
+    if np.abs(_reduced(a, m, lam) - np.diag([a1, a2])).max() > tol:
         raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
 
-    return ReducedParams(walk_type, complex(lam1), complex(a1), complex(a2), abs(lam1 - lam2))
+    return ReducedParams(walk_type, lam, complex(a1), complex(a2), abs(lam1 - lam2))
 
 
 def type1_params(coin: CoinMatrix, tol: float = RTOL) -> ReducedParams:

@@ -25,7 +25,6 @@ __all__ = [
     "state_to_json",
     "state_from_json",
     "measure_to_json",
-    "measure_from_json",
     "measure_to_csv",
     "seeds_to_json",
     "seeds_from_json",
@@ -73,11 +72,15 @@ def topology_to_json(topology: Topology) -> dict:
 
 
 def topology_from_json(obj) -> Topology:
-    if obj["kind"] == "cycle":
-        return Cycle(int(obj["n"]))
-    if obj["kind"] == "window":
-        return Window(int(obj["half_width"]))
-    raise ValueError(f"unknown topology kind {obj['kind']!r}")
+    """Read a topology; its size must be a JSON integer, not a boolean."""
+    kind = obj["kind"]
+    if kind not in ("cycle", "window"):
+        raise ValueError(f"unknown topology kind {kind!r}")
+    key = "n" if kind == "cycle" else "half_width"
+    size = obj[key]
+    if type(size) is not int:
+        raise ValueError(f"{kind} {key} must be an integer, got {size!r}")
+    return Cycle(size) if kind == "cycle" else Window(size)
 
 
 def state_to_json(state: WaveState) -> dict:
@@ -94,16 +97,29 @@ def state_to_json(state: WaveState) -> dict:
 
 def state_from_json(obj) -> WaveState:
     """Read a state; each listed site holds exactly three [re, im] pairs, the
-    left, stay and right amplitudes, and sites not listed are zero."""
+    left, stay and right amplitudes, and sites not listed are zero.
+
+    Every key must name a site of the topology, without wrapping on a cycle,
+    and no site may be named twice ("1" and "01" are one site).
+    """
     topology = topology_from_json(obj["topology"])
+    sites = topology.sites()
+    first, last = int(sites[0]), int(sites[-1])
     amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
+    filled = set()
     for key, triple in obj["amplitudes"].items():
         channels = _complex_array(triple, "amplitude")
         if len(channels) != 3:
             raise ValueError(
                 f"site {key} must hold three [re, im] pairs, one per channel, got {len(channels)}"
             )
-        amps[topology.index_of(int(key))] = channels
+        x = int(key)
+        if not first <= x <= last:
+            raise ValueError(f"site {key} is not a site of {topology} ({first}..{last})")
+        if x in filled:
+            raise ValueError(f"state site {x} is given more than once")
+        filled.add(x)
+        amps[topology.index_of(x)] = channels
     return WaveState._adopt(topology, amps)
 
 
@@ -114,14 +130,6 @@ def measure_to_json(measure: Measure) -> dict:
         "topology": topology_to_json(measure.topology),
         "values": values,
     }
-
-
-def measure_from_json(obj) -> Measure:
-    topology = topology_from_json(obj["topology"])
-    values = np.zeros(topology.n_sites)
-    for key, v in obj["values"].items():
-        values[topology.index_of(int(key))] = float(v)
-    return Measure(topology, values)
 
 
 def measure_to_csv(

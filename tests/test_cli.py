@@ -195,6 +195,18 @@ class TestStationary:
         for key, value in mu_doc["values"].items():
             assert recomputed.value(int(key)) == value  # bit for bit
 
+    def test_json_carries_the_closed_form_column(self, capsys):
+        argv = ["stationary", "--coin", "stefanak-rho", "--rho", "0.4", "--type", "2",
+                "--topology", "cycle:8"]
+        assert main([*argv, "--format", "csv"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        # the same numbers as the CSV columns, bit for bit
+        assert doc["values"] == {x: float(mu) for x, mu, _ in rows}
+        assert doc["closed_form"] == {x: float(closed) for x, _, closed in rows}
+        assert doc["values"] == pytest.approx(doc["closed_form"], abs=1e-12)
+
     def test_type2_default_seeds_impulse(self, capsys):
         code = main(
             ["stationary", "--coin", "grover", "--type", "2", "--topology", "cycle:8"]
@@ -511,16 +523,31 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "coin, values",
-        [("stefanak-rho", "nan"), ("stefanak-eta", "nan"), ("stefanak-rho", "0.5,2")],
+        [
+            ("stefanak-rho", "nan"),
+            ("stefanak-eta", "nan"),
+            ("stefanak-rho", "0.5,2"),
+            ("stefanak-rho", "0.1,x"),
+            # values that one CSV file name would hold, which kept only the last
+            ("stefanak-rho", "0.4000001,0.4000002"),
+            ("stefanak-rho", "0.4,0.4"),
+            # lo:hi:count is a --grid, anything else --values
+            ("stefanak-rho", "0.5:0.5:3"),
+            ("stefanak-rho", "0:1"),
+            ("stefanak-rho", "a:1:3"),
+            ("stefanak-rho", "0:1:0"),
+        ],
     )
-    def test_failed_point_writes_nothing(self, tmp_path, coin, values):
+    def test_failed_point_writes_nothing(self, tmp_path, capsys, coin, values):
         outdir = tmp_path / "sweep"
+        option = "--grid" if ":" in values else "--values"
         assert (
             main(["sweep", "--coin", coin, "--type", "1", "--topology", "cycle:12",
-                  "--values", values, "--outdir", str(outdir)])
+                  option, values, "--outdir", str(outdir)])
             == EXIT_INPUT
         )
         assert not outdir.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMisc:
@@ -539,6 +566,32 @@ class TestMisc:
         )
         assert result.returncode == 0
         assert "classify" in result.stdout and "sweep" in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv, env_tol, message",
+        [
+            (["classify", "--coin", "hadamard"], None, "unknown coin 'hadamard'"),
+            (["verify", "--coin", "grover", "--type", "2", "--seeds", "{missing}"], None,
+             "cannot read seeds file"),
+            (["verify", "--coin", "grover", "--type", "2", "--seeds", "{not_json}"], None,
+             "cannot read seeds file"),
+            (["verify", "--coin", "grover", "--type", "1"], "abc",
+             "QWSTAT_TOL is not a float: 'abc'"),
+        ],
+    )
+    def test_input_error(self, tmp_path, monkeypatch, capsys, argv, env_tol, message):
+        not_json = tmp_path / "seeds.json"
+        not_json.write_text("{values")
+        paths = {"missing": tmp_path / "absent.json", "not_json": not_json}
+        argv = [arg.format(**paths) for arg in argv]
+        if env_tol is None:
+            monkeypatch.delenv("QWSTAT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QWSTAT_TOL", env_tol)
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_degenerate_seed_input(self):
         code = main(

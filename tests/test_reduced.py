@@ -313,11 +313,36 @@ class TestPaperFormulas:
         for walk_type in (1, 2):
             classification_outcome(coin, walk_type)
 
+    def test_guard_fires_where_the_candidates_agree(self):
+        # V V^T of a Haar V has equal Type 1 candidates.  Turned by exp(i eps H),
+        # H Hermitian and eps = 1e-11, they still agree to a quarter of the
+        # tolerance 1e-10; where |a13 a31 / (a12 a23)| is large, the reduced
+        # matrix at lambda is then off diagonal by more than the tolerance,
+        # which only the guard sees.
+        rng = np.random.default_rng(0)
+        guarded = 0
+        for _ in range(40):
+            while True:
+                v = random_coin(rng).matrix
+                a = v @ v.T
+                ratio = abs(a[0, 2] * a[2, 0] / (a[0, 1] * a[1, 2]))
+                if ratio >= 20 and np.abs(a).min() >= 1e-3 and abs(a[1, 1]) <= 0.99:
+                    break
+            z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            w, u = np.linalg.eigh(z + z.conj().T)
+            coin = make_coin(a @ (u * np.exp(0.5e-11j * w)) @ u.conj().T)
+            if classification_outcome(coin, 1) is InconsistentLambda:
+                with pytest.raises(InconsistentLambda, match="reduced matrix is not diagonal") as exc:
+                    type1_params(coin)
+                assert abs(exc.value.lam1 - exc.value.lam2) < 2.5e-11
+                guarded += 1
+        assert guarded >= 10
+
 
 class TestLooselyAcceptedCoin:
     """A coin accepted at a looser unitarity tolerance than the default still
-    classifies: the column-swapped copy Type 2 runs on is as unitary as the
-    coin itself."""
+    classifies: Type 2 runs on the column-swapped matrix, which is as unitary
+    as the coin itself and is not validated again."""
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     def test_type2_matches_paper_formulas(self, tol):

@@ -26,9 +26,7 @@ from qwstat import (
 from qwstat.serialize import (
     coin_from_json,
     coin_to_json,
-    measure_from_json,
     measure_to_csv,
-    measure_to_json,
     reduced_params_to_json,
     seeds_from_json,
     seeds_to_json,
@@ -69,6 +67,23 @@ def test_topology_unknown_kind():
         topology_from_json({"kind": "torus", "n": 4})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "cycle", "n": "3"},
+        {"kind": "cycle", "n": 3.7},
+        {"kind": "cycle", "n": 3.0},
+        {"kind": "cycle", "n": True},
+        {"kind": "window", "half_width": "4"},
+        {"kind": "window", "half_width": None},
+    ],
+)
+def test_topology_size_must_be_a_json_integer(doc):
+    # "3" and 3.7 used to load as Cycle(3)
+    with pytest.raises(ValueError, match="must be an integer"):
+        topology_from_json(doc)
+
+
 def test_state_round_trip_preserves_measure_exactly():
     coin = fourier()
     state = type1_state(coin, type1_params(coin), 0.3 + 0.7j, -0.2j, Cycle(9))
@@ -104,10 +119,28 @@ def test_state_from_json_needs_one_pair_per_channel(pairs):
         state_from_json(doc)
 
 
-def test_measure_round_trip():
-    mu = Measure(Window(3), np.array([0.5, 1.0, 0.25, 3.0, 0.0, 1.5, 2.0]))
-    back = measure_from_json(json.loads(json.dumps(measure_to_json(mu))))
-    assert np.array_equal(back.values, mu.values)
+@pytest.mark.parametrize(
+    "topology, sites",
+    [(Cycle(3), ["3"]), (Cycle(3), ["-1"]), (Cycle(3), ["0", "3"]), (Window(2), ["3"])],
+)
+def test_state_from_json_rejects_sites_off_the_topology(topology, sites):
+    # a cycle used to wrap "3" onto site 0 and "-1" onto site 2
+    doc = {
+        "topology": topology_to_json(topology),
+        "amplitudes": {key: [[1.0, 0.0]] * 3 for key in sites},
+    }
+    with pytest.raises(ValueError, match=f"site {sites[-1]} is not a site of"):
+        state_from_json(doc)
+
+
+def test_state_from_json_rejects_a_site_named_twice():
+    # the last of "1" and "01" used to win
+    doc = {
+        "topology": {"kind": "cycle", "n": 3},
+        "amplitudes": {"1": [[1.0, 0.0]] * 3, "01": [[2.0, 0.0]] * 3},
+    }
+    with pytest.raises(ValueError, match="state site 1 is given more than once"):
+        state_from_json(doc)
 
 
 def test_measure_csv_format():
