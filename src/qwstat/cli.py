@@ -28,7 +28,7 @@ from .errors import (
     SquareConditionFailed,
 )
 from .evolve import eigen_residual, verify_stationary
-from .reduced import ReducedParams, type1_params, type2_params
+from .reduced import type1_params, type2_params
 from .serialize import (
     SCHEMA_VERSION,
     coin_from_json,
@@ -98,41 +98,65 @@ def parse_topology(text: str) -> Topology:
     raise UsageError(f"bad topology {text!r} (want cycle:N or window:W)")
 
 
-# one-parameter coin families: name -> (constructor, option holding the parameter)
-_PARAM_FAMILIES = {
-    "stefanak-eta": (stefanak_eta, "eta"),
-    "stefanak-rho": (stefanak_rho, "rho"),
-}
+def _builtin_coins() -> dict:
+    """Built-in coin name -> (constructor, option holding its parameter or None),
+    built on each call so a wrapper set on ``qwstat.cli.grover`` is what runs."""
+    return {
+        "grover": (grover, None),
+        "fourier": (fourier, None),
+        "stefanak-eta": (stefanak_eta, "eta"),
+        "stefanak-rho": (stefanak_rho, "rho"),
+    }
 
 
 def load_coin(args) -> CoinMatrix:
     name = args.coin
-    if name == "grover":
-        return grover()
-    if name == "fourier":
-        return fourier()
-    if name in _PARAM_FAMILIES:
-        make, option = _PARAM_FAMILIES[name]
-        value = getattr(args, option)
-        if value is None:
-            raise UsageError(f"--coin {name} needs --{option}")
-        return make(value)
     if name.startswith("custom:"):
-        path = Path(name[len("custom:"):])
-        return _read_json_file(path, "coin", coin_from_json)
-    raise UsageError(f"unknown coin {name!r}")
+        return _read_json_file(Path(name[len("custom:"):]), "coin", coin_from_json)
+    if name not in (coins := _builtin_coins()):
+        raise UsageError(f"unknown coin {name!r}")
+    make, option = coins[name]
+    if option is None:
+        return make()
+    value = getattr(args, option)
+    if value is None:
+        raise UsageError(f"--coin {name} needs --{option}")
+    return make(value)
 
 
-def load_seeds(args) -> Seeds:
-    if args.seeds is None:
-        return seeds_from_json(DEFAULTS["type2_seeds"])
-    return _read_json_file(Path(args.seeds), "seeds", seeds_from_json)
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
+class _ObjectSizes(list):
+    """A json object_hook that keeps the number of entries of each object it sees."""
+
+    def __call__(self, obj: dict) -> dict:
+        self.append(len(obj))
+        return obj
+
+
+def _parse_json(text: str):
+    """json.loads(text), but an object naming a key twice raises ValueError.
+    Outside strings JSON has one colon per key, so the colons outnumber the
+    decoded entries only if a key repeats or a string holds a colon."""
+    sizes = _ObjectSizes()
+    obj = json.loads(text, object_hook=sizes)
+    if text.count(":") != sum(sizes):
+        json.loads(text, object_pairs_hook=_unique_keys)
+    return obj
 
 
 def _read_json_file(path: Path, what: str, parse):
     """parse() of the JSON document in path.  A file that cannot be read, is
-    not JSON, or does not have the structure parse() expects raises a
-    UsageError naming the file (exit 4).
+    not JSON, repeats a key or does not have the structure parse() expects
+    raises a UsageError naming the file (exit 4).
 
     The cyclic garbage collector is paused while the file is decoded and
     parsed: a seeds file holds one small list per site, and the 1e5 of a
@@ -142,13 +166,12 @@ def _read_json_file(path: Path, what: str, parse):
     gc.disable()
     try:
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            obj = _parse_json(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read {what} file {path}: {exc}")
-        try:
-            return parse(obj)
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"malformed {what} file {path}: {exc}")
+        return parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed {what} file {path}: {exc}")
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -175,26 +198,29 @@ def resolve_tol(explicit: float | None) -> tuple[float, str]:
 
 
 def build_state(args, coin: CoinMatrix, topology: Topology):
-    """Construct the requested eigenstate; returns (state, params, seeds)."""
+    """The requested eigenstate, its params and the seeds parsed for it:
+    (phi1, phi3) for Type 1, the Seeds for Type 2."""
     if args.type == 1:
         params = type1_params(coin)
-        phi1 = parse_complex(args.phi1)
-        phi3 = parse_complex(args.phi3)
-        return type1_state(coin, params, phi1, phi3, topology), params, None
+        seeds = parse_complex(args.phi1), parse_complex(args.phi3)
+        return type1_state(coin, params, *seeds, topology), params, seeds
     params = type2_params(coin)
-    seeds = load_seeds(args)
+    if args.seeds is None:
+        seeds = seeds_from_json(DEFAULTS["type2_seeds"])
+    else:
+        seeds = _read_json_file(Path(args.seeds), "seeds", seeds_from_json)
     return type2_state(coin, params, seeds, topology), params, seeds
 
 
-def closed_form_column(args, coin, topology, seeds) -> np.ndarray | None:
-    """Reference column for the measure when a closed form applies."""
-    phi1 = phi3 = None
-    if args.type == 1:
-        phi1, phi3 = parse_complex(args.phi1), parse_complex(args.phi3)
-    if not closed_form_applies(coin, args.type, phi1, phi3):
+def closed_form_column(coin, topology, seeds) -> np.ndarray | None:
+    """Reference column for the measure, from the seeds build_state returned,
+    when a closed form applies."""
+    type2 = isinstance(seeds, Seeds)
+    phi1, phi3 = (None, None) if type2 else seeds
+    if not closed_form_applies(coin, 2 if type2 else 1, phi1, phi3):
         return None
     sites = topology.sites()
-    if args.type == 2:
+    if type2:
         # a dict, not the Seeds, because the closed form looks seeds up one
         # site at a time, and a dict lookup is the faster
         lookup = dict(zip(seeds.sites.tolist(), seeds.values.tolist()))
@@ -225,24 +251,17 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _params_line(label: str, params: ReducedParams) -> str:
-    return (
-        f"{label}: OK lambda={params.lam:.12g} a1={params.a_tilde_1:.12g}"
-        f" a2={params.a_tilde_2:.12g} residual={params.residual:.3e}"
-    )
-
-
 def cmd_classify(args) -> int:
     coin = load_coin(args)
-    wanted = [1, 2] if args.type == "both" else [int(args.type)]
     report: dict = {"schema": SCHEMA_VERSION, "coin": args.coin}
     failures: list[int] = []
     for t, fn in ((1, type1_params), (2, type2_params)):
-        if t not in wanted:
+        if args.type not in ("both", str(t)):
             continue
         try:
             params = fn(coin)
-            print(_params_line(f"type {t}", params))
+            print(f"type {t}: OK lambda={params.lam:.12g} a1={params.a_tilde_1:.12g}"
+                  f" a2={params.a_tilde_2:.12g} residual={params.residual:.3e}")
             report[f"type{t}"] = reduced_params_to_json(params)
         except QWalkError as exc:
             print(f"type {t}: FAILED {type(exc).__name__}: {exc}")
@@ -251,10 +270,7 @@ def cmd_classify(args) -> int:
     if args.json:
         sys.stdout.write(_json_text(report))
     # out-of-scope coin first, then eigenvalue failures, then the square condition
-    for code in (EXIT_INPUT, EXIT_CLASSIFY, EXIT_SQUARE):
-        if code in failures:
-            return code
-    return EXIT_OK
+    return next((c for c in (EXIT_INPUT, EXIT_CLASSIFY, EXIT_SQUARE) if c in failures), EXIT_OK)
 
 
 def cmd_stationary(args) -> int:
@@ -262,11 +278,9 @@ def cmd_stationary(args) -> int:
     topology = parse_topology(args.topology)
     state, params, seeds = build_state(args, coin, topology)
     measure = measure_of(state)
-    closed = closed_form_column(args, coin, topology, seeds)
+    closed = closed_form_column(coin, topology, seeds)
 
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.out is not None and args.out.endswith(".json") else "csv"
+    fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
     if fmt == "csv":
         buf = io.StringIO()
         measure_to_csv(measure, buf, closed)
@@ -335,9 +349,9 @@ def parse_grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    if args.coin not in _PARAM_FAMILIES:
-        raise UsageError("sweep supports --coin " + " or ".join(_PARAM_FAMILIES))
-    option = _PARAM_FAMILIES[args.coin][1]
+    families = {name: make for name, (make, option) in _builtin_coins().items() if option}
+    if args.coin not in families:
+        raise UsageError("sweep supports --coin " + " or ".join(families))
     topology = parse_topology(args.topology)
     grid = parse_grid(args)
     names = [f"{args.coin.replace('-', '_')}_{value:.6f}.csv" for value in grid]
@@ -351,32 +365,17 @@ def cmd_sweep(args) -> int:
     points = []
     columns = []  # (CSV name, measure, closed-form column) per point
     for value, name in zip(grid, names):
-        sub = argparse.Namespace(**vars(args))
-        setattr(sub, option, value)
-        coin = load_coin(sub)
-        state, params, seeds = build_state(sub, coin, topology)
+        coin = families[args.coin](value)
+        state, params, seeds = build_state(args, coin, topology)
         measure = measure_of(state)
-        closed = closed_form_column(sub, coin, topology, seeds)
+        closed = closed_form_column(coin, topology, seeds)
         columns.append((name, measure, closed))
 
-        max_diff = (
-            float(np.abs(measure.values - closed).max()) if closed is not None else None
-        )
-        points.append(
-            {
-                "value": value,
-                "csv": name,
-                "period": detect_period(measure),
-                "max_abs_diff": max_diff,
-            }
-        )
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "coin": args.coin,
-        "type": args.type,
-        "topology": args.topology,
-        "points": points,
-    }
+        max_diff = float(np.abs(measure.values - closed).max()) if closed is not None else None
+        period = detect_period(measure)
+        points.append({"value": value, "csv": name, "period": period, "max_abs_diff": max_diff})
+    summary = {"schema": SCHEMA_VERSION, "coin": args.coin, "type": args.type,
+               "topology": args.topology, "points": points}
     summary_text = _json_text(summary)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -413,13 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coin_p = argparse.ArgumentParser(add_help=False)
-    coin_p.add_argument(
-        "--coin",
-        required=True,
-        help="grover | fourier | stefanak-eta | stefanak-rho | custom:<file.json>",
-    )
-    coin_p.add_argument("--eta", type=float, help="parameter for stefanak-eta")
-    coin_p.add_argument("--rho", type=float, help="parameter for stefanak-rho")
+    coins = _builtin_coins()
+    coin_p.add_argument("--coin", required=True, help=" | ".join([*coins, "custom:<file.json>"]))
+    for name, (_make, option) in coins.items():
+        if option is not None:
+            coin_p.add_argument(f"--{option}", type=float, help=f"parameter for {name}")
 
     state_p = argparse.ArgumentParser(add_help=False)
     state_p.add_argument("--type", type=int, choices=(1, 2), required=True)

@@ -2,8 +2,9 @@
 
 A deleted or renamed function that ``__all__`` still lists, or that the
 benchmark's span recorder (``perfbench/spans.py``) still wraps, fails here
-instead of at import time or in a traced benchmark run.  The README's quick
-tour must run as written.
+instead of at import time or in a traced benchmark run.  A hook on a built-in
+coin must also run, so the CLI must look the coins up when a command runs.
+The README's quick tour must run as written.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import qwstat
+from qwstat import cli
 
 MODULES = ["qwstat"] + [
     f"qwstat.{m.name}" for m in pkgutil.iter_modules(qwstat.__path__) if m.name != "__main__"
@@ -43,6 +45,29 @@ def test_benchmark_hooks_resolve():
     assert len(hooks) > 1
     missing = [(m, a) for m, a, _ in hooks if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Replace ``qwstat.cli.<name>`` by a wrapper; return the list of its calls' arguments."""
+    calls, original = [], getattr(cli, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+def test_coins_are_looked_up_at_call_time(monkeypatch, tmp_path, capsys):
+    rho = _count_calls(monkeypatch, "stefanak_rho")
+    eta = _count_calls(monkeypatch, "stefanak_eta")
+    assert cli.main(["classify", "--coin", "stefanak-rho", "--rho", "0.4"]) == 0
+    assert rho == [(0.4,)]
+    sweep = ["sweep", "--coin", "stefanak-eta", "--type", "1", "--values", "0.5,0.7",
+             "--topology", "cycle:6", "--outdir", str(tmp_path / "sweep")]
+    assert cli.main(sweep) == 0
+    assert eta == [(0.5,), (0.7,)]
 
 
 def test_readme_quick_tour_runs():

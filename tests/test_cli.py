@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwstat import cli, grover, make_coin, measure_of
+from qwstat import cli, fourier, grover, make_coin, measure_of
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -33,7 +35,53 @@ def coin_with_parts(convert):
     return doc
 
 
+# Files that give one key twice, which a Python dict cannot hold, so kept as text.
+SEEDS_TWICE = '{"values": {"0": [1, 0], "0": [5, 0]}}'
+MATRIX_TWICE = '{{"matrix": {}, "matrix": {}}}'.format(
+    *(json.dumps(coin_to_json(coin)["matrix"]) for coin in (grover(), fourier()))
+)
+
+
+class Obj(tuple):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def render(doc) -> str:
+    if isinstance(doc, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in doc) + "}"
+    if isinstance(doc, list):
+        return "[" + ", ".join(map(render, doc)) + "]"
+    return json.dumps(doc)
+
+
+def repeats_a_key(doc) -> bool:
+    if isinstance(doc, Obj):
+        keys = [k for k, _ in doc]
+        return len(set(keys)) < len(keys) or any(repeats_a_key(v) for _, v in doc)
+    return isinstance(doc, list) and any(map(repeats_a_key, doc))
+
+
+# strings that hold colons, quotes and backslashes, which the key check must see through
+json_strings = st.text(alphabet='ab:"\\ ', max_size=3)
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(st.tuples(json_strings, inner), max_size=3).map(Obj),
+    max_leaves=12,
+)
+
+
 class TestParsers:
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_json_reader_rejects_exactly_the_repeated_keys(self, doc):
+        text = render(doc)
+        if repeats_a_key(doc):
+            with pytest.raises(ValueError, match="is given more than once"):
+                cli._parse_json(text)
+        else:
+            assert cli._parse_json(text) == json.loads(text)
+
     def test_complex_literals(self):
         assert parse_complex("1+2i") == 1 + 2j
         assert parse_complex("-0.5i") == -0.5j
@@ -577,12 +625,16 @@ class TestMisc:
              "cannot read seeds file"),
             (["verify", "--coin", "grover", "--type", "1"], "abc",
              "QWSTAT_TOL is not a float: 'abc'"),
+            (["verify", "--coin", "grover", "--type", "2", "--seeds", "{not_utf8}"], None,
+             "cannot read seeds file"),
         ],
     )
     def test_input_error(self, tmp_path, monkeypatch, capsys, argv, env_tol, message):
         not_json = tmp_path / "seeds.json"
         not_json.write_text("{values")
-        paths = {"missing": tmp_path / "absent.json", "not_json": not_json}
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'\xff{"values": {}}')
+        paths = {"missing": tmp_path / "absent.json", "not_json": not_json, "not_utf8": not_utf8}
         argv = [arg.format(**paths) for arg in argv]
         if env_tol is None:
             monkeypatch.delenv("QWSTAT_TOL", raising=False)
@@ -618,11 +670,13 @@ class TestMisc:
             ("coin", coin_with_parts(str)),
             ("coin", coin_with_parts(bool)),
             ("coin", coin_with_parts(lambda part: None)),
+            pytest.param("seeds", SEEDS_TWICE, id="seeds-repeated-key"),
+            pytest.param("coin", MATRIX_TWICE, id="coin-repeated-key"),
         ],
     )
     def test_malformed_input_file(self, tmp_path, capsys, kind, doc):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         if kind == "seeds":
             argv = ["verify", "--coin", "grover", "--type", "2", "--seeds", str(path)]
         else:
@@ -631,6 +685,35 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: malformed {kind} file {path}: " in captured.err
+
+    @pytest.mark.parametrize(
+        "kind, text, key",
+        [
+            ("seeds", SEEDS_TWICE, "0"),
+            ("coin", MATRIX_TWICE, "matrix"),
+            ("seeds", '{"note": "a:b", "values": {"1": [1, 0], "1": [5, 0]}}', "1"),
+        ],
+        ids=["seeds", "coin", "seeds-and-a-colon-in-a-string"],
+    )
+    def test_repeated_key_is_named(self, tmp_path, capsys, kind, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        coin = f"custom:{path}" if kind == "coin" else "grover"
+        argv = ["stationary", "--coin", coin, "--type", "2", "--topology", "cycle:4"]
+        assert main([*argv, "--seeds", str(path)] if kind == "seeds" else argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: malformed {kind} file {path}: key {key!r} is given more than once\n"
+        )
+
+    def test_colon_in_a_string_is_not_a_repeated_key(self, tmp_path, capsys):
+        outputs = []
+        for text in ('{"values": {"1": [1, 0]}}', '{"note": "a:b", "values": {"1": [1, 0]}}'):
+            path = tmp_path / "seeds.json"
+            path.write_text(text)
+            argv = ["stationary", "--coin", "grover", "--type", "2", "--seeds", str(path)]
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
 
 class TestParserReuse:
