@@ -15,13 +15,9 @@ and the tests require it to agree with a loop of ``step`` calls.  The
 kernel keeps each step's state in its own slot of a ring buffer as six
 real rows, the real and imaginary parts of the three channels, with a
 ghost cell at each end of a row.  A step is one real matmul of the coin's
-6x6 real form, read from the slot's sites and written into the next slot
-through a view that puts channel c of A x c - 1 sites to the right, which
-applies the shifts on the write side without copying.  The ghost cells
-hold the wrapped amplitudes on a cycle and zero on a window.  Measures,
-the sums of squares of the six rows, are taken by one einsum per block of
-steps, and drifts are reduced once per block, where a block is as many
-states as fit in ``BUDGET`` bytes.
+6x6 real form that writes channel c of A x c - 1 sites to the right, which
+applies the shifts without copying.  Measures and drifts are reduced once
+per block of steps, as many states as fit in ``BUDGET`` bytes.
 """
 
 from __future__ import annotations
@@ -198,32 +194,28 @@ def _drift_trace(
     the squared norm before the first step and after the last, and the
     largest weight of the measure before the first step (NaN if any is).
 
-    Every step's state gets its own slot of a (block, 6 (N+2) + 3) real
-    array.  A slot holds six rows of N+2 values, the real and imaginary
-    parts of the left, stay and right channels, with sites 1..N between a
-    ghost cell at each end, so that its six rows of sites are a (6, N) view
-    with no shift.  A step is one matmul of the coin's real form, batched
-    by output channel, from the previous slot's (6, N) view into a
-    (3, 2, N) view of the next slot whose channel c starts c sites further
-    right: the stride between channels is one row pair plus one value.
-    Channel c of A x at site j thus lands on site j + c - 1, which is the
-    shift: left(j) = y0(j+1), stay(j) = y1(j), right(j) = y2(j-1).  The
-    two sites the matmul does not reach, left at the last site and right at
-    the first, get the wrapped values from the ghost cells on a cycle and
-    zero on a window, so a step is one matmul and two stores of two values.
+    Step 0 is a (6, N) array of the real and imaginary parts of the left,
+    stay and right channels.  Every later step gets its own slot of a
+    (block, 6 (N+2) + 3) real array: the same six rows, each with sites
+    1..N between two ghost cells.  A step is one matmul of the coin's real
+    form, batched by output channel, into a (3, 2, N) view of the next slot
+    whose channel c starts c sites further right (the stride between
+    channels is one row pair plus one value), so that left(j) = y0(j+1),
+    stay(j) = y1(j) and right(j) = y2(j-1).  The matmul never writes left at
+    the last site or right at the first: on a cycle they are copied from the
+    ghost cells, which hold the values that wrap, and on a window they keep
+    the zeros the slot was made with, because no slot ever holds step 0.
 
     Steps are reduced a block at a time: one einsum over the block's slots
     gives each step's measure, the sum of squares of its six rows, and one
     pass gives its drift, the max of |mu_k - mu_0| over the sites step k
     cannot reach from a window's edge.  A block holds at most BUDGET bytes
     of states.  Two such arrays form a ring: blocks alternate between them,
-    the last slot of one feeding the first slot of the next, so nothing is
-    copied back.  At large N a block is one step, and the two arrays hold
-    no more than the two states a step needs.  They are two arrays, not one
-    buffer, so that none is larger than a state: glibc's malloc raises its
-    mmap threshold to the largest block it has unmapped, and a 2-state
-    buffer raised the peak RSS of a run of N = 99 999 verifies by about
-    2 MB.
+    the last slot of one feeding the first slot of the next.  At large N a
+    block is one step, and they are two arrays, not one buffer, so that none
+    is larger than a state: glibc's malloc raises its mmap threshold to the
+    largest block it has unmapped, and a 2-state buffer raised the peak RSS
+    of a run of N = 99 999 verifies by about 2 MB.
     """
     n = amps.shape[0]
     row = n + 2
@@ -253,7 +245,7 @@ def _drift_trace(
         """Measures of a (count, 6, N) stack of states, in mu[:count]."""
         return np.einsum("bij,bij->bj", states, states, out=mu[: len(states)])
 
-    x = halves[1][1][-1]  # step 0 sits in the last slot of the second half
+    x = np.empty((6, n))  # step 0, outside the ring: it dies after the first step
     x[0::2] = amps.real.T
     x[1::2] = amps.imag.T
     mu0 = measure(x[None])[0].copy()
@@ -264,10 +256,7 @@ def _drift_trace(
         out, state, left_edge, right_edge, left_ghost, right_ghost = halves[k0 // block % 2]
         for slot, y, nxt in zip(range(count), out, state):
             np.matmul(r, x, out=y)
-            if windowed:
-                left_edge[slot] = 0.0
-                right_edge[slot] = 0.0
-            else:
+            if not windowed:  # the two values that wrap round the seam
                 left_edge[slot] = left_ghost[slot]
                 right_edge[slot] = right_ghost[slot]
             x = nxt
