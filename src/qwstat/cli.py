@@ -318,6 +318,8 @@ def cmd_verify(args) -> int:
         "lambda": [params.lam.real, params.lam.imag],
         "eigen_residual": float(residual),
         "eigen_residual_site": residual.site,
+        "eigen_residual_relative": residual.relative,
+        "eigen_residual_relative_site": residual.relative_site,
         "stationarity": stationarity,
         "passed": report.passed,
     }

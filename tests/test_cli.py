@@ -459,6 +459,23 @@ class TestVerify:
         assert doc["eigen_residual"] > 0.1
         assert doc["eigen_residual_site"] == 9
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--type", "1", "--phi1", "1e4", "--phi3", "1e4", "--topology", "cycle:12"],
+            ["--type", "2", "--topology", "window:40", "--steps", "39"],
+        ],
+    )
+    def test_relative_fields(self, capsys, args):
+        # the leaked norm and the eigen residual are absolute; their relative
+        # forms stay at round-off whatever the seeds
+        assert main(["verify", "--coin", "grover", *args]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        stationarity = doc["stationarity"]
+        assert 0.0 <= stationarity["leaked_fraction"] < 1e-13
+        assert 0.0 <= doc["eigen_residual_relative"] < 1e-13
+        assert isinstance(doc["eigen_residual_relative_site"], int)
+
     def test_window_too_small_is_input_error(self, capsys):
         code = main(
             [

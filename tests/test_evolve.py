@@ -1,3 +1,4 @@
+import cmath
 import tracemalloc
 
 import numpy as np
@@ -240,6 +241,58 @@ class TestEigenResidual:
         with pytest.raises(NonUnimodularLambda):
             eigen_residual(coin, state, 0.9)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        topology=st.one_of(st.integers(3, 30).map(Cycle), st.integers(1, 15).map(Window)),
+        zeros=st.integers(0, 25),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relative_site_by_site(self, seed, topology, zeros):
+        # each checked site's residual over the largest |psi| at x-1..x+1,
+        # wrapping on a cycle; zeroed sites make some of them 0/0, which is 0
+        rng = np.random.default_rng(seed)
+        coin = random_coin(rng)
+        amps = random_state(topology, rng).amplitudes.copy()
+        amps[rng.integers(0, topology.n_sites, zeros)] = 0.0
+        state = WaveState(topology, amps)
+        lam = cmath.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        residual = eigen_residual(coin, state, lam)
+        own = np.abs(step(coin, state).amplitudes - lam * amps).max(axis=1)
+        near = np.abs(amps).max(axis=1)
+        n = topology.n_sites
+        checked = range(n) if isinstance(topology, Cycle) else range(1, n - 1)
+        ratios = [
+            0.0 if own[i] == 0 else own[i] / max(near[i - 1], near[i], near[(i + 1) % n])
+            for i in checked
+        ]
+        worst = int(np.argmax(ratios))
+        assert residual.relative == ratios[worst]
+        assert residual.relative_site == state.sites[checked[worst]]
+
+    @pytest.mark.parametrize("topology", [Cycle(5), Window(3)])
+    def test_relative_of_a_zero_state(self, topology):
+        zero = WaveState(topology, np.zeros((topology.n_sites, 3), dtype=complex))
+        residual = eigen_residual(grover(), zero, -1)
+        assert (float(residual), residual.relative) == (0.0, 0.0)
+        assert residual.relative_site == residual.site == zero.sites[1 if isinstance(topology, Window) else 0]
+
+    def test_relative_sees_a_defect_where_the_weight_is_small(self):
+        # Grover Type 2 with seeds {0: 1e6, 1000: 1}: amplitudes 1.5 times too
+        # large at site 1000 leave a residual of 0.5 there, which the drift
+        # check scaled by the 1e12 weight at site 0 lets pass; relative to
+        # the weight near site 1000 it is 1/3
+        coin = grover()
+        params = type2_params(coin)
+        topology = Cycle(2000)
+        amps = type2_state(coin, params, {0: 1e6, 1000: 1}, topology).amplitudes.copy()
+        amps[topology.index_of(1000)] *= 1.5
+        state = WaveState(topology, amps)
+        residual = eigen_residual(coin, state, params.lam)
+        assert (float(residual), residual.site) == (0.5, 1000)
+        assert residual.relative == pytest.approx(1 / 3, rel=1e-12)
+        assert residual.relative_site == 1000
+        assert verify_stationary(coin, state, 50).passed
+
 
 def step_loop_drifts(coin, state, n_steps):
     """Per-step measure drifts and the leaked norm of n_steps calls to the
@@ -361,6 +414,23 @@ class TestVerifyStationary:
         amps[topo.index_of(-3), 0] = 1.0  # exits after two identity steps
         report = verify_stationary(make_coin(np.eye(3)), WaveState(topo, amps), 3, tol=10.0)
         assert report.leaked_norm == pytest.approx(1.0, abs=1e-12)
+        assert report.leaked_fraction == report.leaked_norm  # the initial norm is 1
+
+    def test_leaked_fraction_does_not_grow_with_the_seeds(self):
+        # nothing leaks from a cycle, but the round-off of the two norms is
+        # absolute: 1.1e-5 for Grover seeds of 1e4 on 12 sites
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), 1e4, 1e4, Cycle(12))
+        report = verify_stationary(coin, state, 100)
+        assert report.leaked_fraction == pytest.approx(report.leaked_norm / state.norm_squared(), rel=1e-12)
+        assert report.leaked_fraction < 1e-13
+
+    @pytest.mark.parametrize(("value", "fraction"), [(0.0, 0.0), (np.nan, np.nan)])
+    def test_leaked_fraction_of_a_zero_or_nan_state(self, value, fraction):
+        amps = np.zeros((9, 3), dtype=complex)
+        amps[4, 1] = value
+        report = verify_stationary(grover(), WaveState(Window(4), amps), 3)
+        assert np.array_equal(report.leaked_fraction, fraction, equal_nan=True)
 
     def test_bad_steps(self):
         coin = grover()
@@ -582,7 +652,7 @@ class TestRing:
         # each time a slot is reused: step 0, which is nonzero there, must
         # never have been stored in a slot
         topology, n_steps = Window(200), 199
-        assert ring_blocks(topology.n_sites, n_steps) == (6, 34)  # each half reused 17 times
+        assert ring_blocks(topology.n_sites, n_steps) == (6, 34)  # 17 blocks in each half
         rng = np.random.default_rng(19)
         coin = random_coin(rng)
         state = random_state(topology, rng)
