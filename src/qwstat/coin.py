@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,14 @@ class CoinMatrix:
 
     Construction raises ValueError for a wrong shape or a non-finite entry,
     and NonUnitary when the max entrywise deviation of A A* from the identity
-    exceeds ``tol``, an init-only argument that the coin does not keep.
+    exceeds ``UNITARITY_TOL``.
     """
 
     matrix: np.ndarray
     family: str | None = None
     family_param: float | None = None
-    tol: InitVar[float] = UNITARITY_TOL
 
-    def __post_init__(self, tol: float):
+    def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
         if m.shape != (3, 3):
             raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
@@ -64,8 +63,8 @@ class CoinMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         dev = self.unitarity_deviation()
-        if dev > tol:
-            raise NonUnitary(dev, tol)
+        if dev > UNITARITY_TOL:
+            raise NonUnitary(dev, UNITARITY_TOL)
 
     def __getattr__(self, name: str) -> complex:
         # a11 .. a33 read straight from the matrix
@@ -96,27 +95,11 @@ class Minors:
 
 
 def make_coin(
-    entries,
-    tol: float = UNITARITY_TOL,
-    family: str | None = None,
-    family_param: float | None = None,
+    entries, *, family: str | None = None, family_param: float | None = None
 ) -> CoinMatrix:
-    """Validate a 3x3 array of complex entries as a coin.
-
-    Parameters
-    ----------
-    entries:
-        Anything ``np.asarray`` turns into a 3x3 complex matrix.
-    tol:
-        Max allowed entrywise deviation of A A* from the identity.
-
-    Raises
-    ------
-    NonUnitary
-        If the deviation exceeds ``tol``.  The matrix is stored as given,
-        so a silently broken input cannot masquerade as a repaired one.
-    """
-    return CoinMatrix(entries, family=family, family_param=family_param, tol=tol)
+    """The coin with these entries (anything ``np.asarray`` turns into a 3x3
+    complex matrix), validated and stored as CoinMatrix describes."""
+    return CoinMatrix(entries, family=family, family_param=family_param)
 
 
 def grover() -> CoinMatrix:

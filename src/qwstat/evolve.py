@@ -32,7 +32,7 @@ from .errors import WindowTooSmall
 from .reduced import _check_unimodular
 from .serialize import SCHEMA_VERSION
 from .state import Cycle, WaveState, Window
-from .tolerance import DRIFT_TOL
+from .tolerance import DRIFT_TOL, MIN_SCALE
 
 __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 
@@ -143,8 +143,8 @@ class StationarityReport:
     initial squared norm (0 for a zero state, NaN if either is NaN), which
     does not grow with the seeds.  ``max_measure_drift`` is absolute;
     ``tol`` is relative to ``scale``, the largest weight max(mu_0) over all
-    sites at step 0, and the check passed iff the scale is finite and the
-    drift is at most tol * scale.
+    sites at step 0, and the check passed iff the scale is finite (and normal
+    for a nonzero state) and the drift is at most tol * scale.
     """
 
     steps: int
@@ -171,8 +171,8 @@ def verify_stationary(
     """Evolve n_steps times and record the worst measure drift from step 0.
 
     The check passes iff the drift is at most ``tol * max(mu_0)``, so its
-    answer does not depend on the scale of the seeds.  A zero measure must
-    not drift at all, and a NaN or infinite max(mu_0) always fails.
+    answer does not depend on the scale of the seeds.  A zero state must not
+    drift at all; a NaN, infinite or underflowed max(mu_0) always fails.
 
     On a window the comparison at step k is restricted to sites
     -W+k..W-k, the region boundary truncation cannot have reached, and
@@ -202,8 +202,9 @@ def verify_stationary(
         leaked_fraction=leaked / norm0 if norm0 else leaked,  # a zero state leaks 0
         tol=tol,
         scale=scale,
-        # a finite scale first: an overflowed state would pass inf <= inf
-        passed=math.isfinite(scale) and drift <= tol * scale,
+        # an overflowed state would pass inf <= inf, an underflowed one 0 <= 0
+        passed=math.isfinite(scale) and drift <= tol * scale
+        and (scale >= MIN_SCALE or not state.amplitudes.any()),
     )
 
 
@@ -226,17 +227,17 @@ def _drift_trace(
     the squared norm before the first step and after the last, and the
     largest weight of the measure before the first step (NaN if any is).
 
-    Step 0 is a (6, N) array of the real and imaginary parts of the left,
-    stay and right channels.  Every later step gets its own slot of a
-    (block, 6 (N+2) + 3) real array: the same six rows, each with sites
-    1..N between two ghost cells.  A step is one matmul of the coin's real
+    Every step gets its own slot of a (block, 6 (N+2) + 3) real array, step
+    0 the last slot of the ring: six rows, the real and imaginary parts of
+    the left, stay and right channels, each with sites 1..N between two
+    ghost cells.  A step is one matmul of the coin's real
     form, batched by output channel, into a (3, 2, N) view of the next slot
     whose channel c starts c sites further right (the stride between
     channels is one row pair plus one value), so that left(j) = y0(j+1),
     stay(j) = y1(j) and right(j) = y2(j-1).  The matmul never writes left at
     the last site or right at the first: on a cycle they are copied from the
     ghost cells, which hold the values that wrap, and on a window they keep
-    the zeros the slot was made with, because no slot ever holds step 0.
+    the zeros the slot was made with, once step 0's are cleared.
 
     Steps are reduced a block at a time: one einsum over the block's slots
     gives each step's measure, the sum of squares of its six rows, and one
@@ -277,7 +278,7 @@ def _drift_trace(
         """Measures of a (count, 6, N) stack of states, in mu[:count]."""
         return np.einsum("bij,bij->bj", states, states, out=mu[: len(states)])
 
-    x = np.empty((6, n))  # step 0, outside the ring: it dies after the first step
+    x = halves[1][1][-1]  # step 0 sits in the last slot of the ring
     x[0::2] = amps.real.T
     x[1::2] = amps.imag.T
     mu0 = measure(x[None])[0].copy()
@@ -292,6 +293,8 @@ def _drift_trace(
                 left_edge[slot] = left_ghost[slot]
                 right_edge[slot] = right_ghost[slot]
             x = nxt
+        if k0 == 0:  # step 0 is spent: clear the cells of its slot no matmul writes
+            halves[1][2][-1] = halves[1][3][-1] = 0.0
         d = measure(state[:count])
         np.subtract(d, mu0, out=d)
         np.abs(d, out=d)

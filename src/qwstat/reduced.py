@@ -79,18 +79,16 @@ def _require_reducible(a: np.ndarray) -> None:
         raise CentralReflection(abs(a[1, 1]))
 
 
-def reduced_matrix(
-    coin: CoinMatrix, lam: complex, tol: float = RTOL
-) -> np.ndarray:
+def reduced_matrix(coin: CoinMatrix, lam: complex) -> np.ndarray:
     """The reduced matrix at a unimodular lambda, as a read-only 2x2 array.
 
     Raises ZeroEntry / CentralReflection when the coin is outside the scope
     of the reduction, and NonUnimodularLambda when |lambda| is more than
-    tol off the unit circle.
+    RTOL off the unit circle.
     """
     _require_reducible(coin.matrix)
     lam = complex(lam)
-    _check_unimodular(lam, tol)
+    _check_unimodular(lam)
     entries = _reduced(coin.matrix, minors(coin), lam)
     entries.setflags(write=False)
     return entries
@@ -108,9 +106,9 @@ def _reduced(a: np.ndarray, m: Minors, lam: complex) -> np.ndarray:
     return top / (lam - a[1, 1])
 
 
-def _check_unimodular(lam: complex, tol: float = RTOL) -> None:
-    """Raise NonUnimodularLambda unless |lam| is within tol of 1."""
-    if abs(abs(lam) - 1.0) > tol:
+def _check_unimodular(lam: complex) -> None:
+    """Raise NonUnimodularLambda unless |lam| is within RTOL of 1."""
+    if abs(abs(lam) - 1.0) > RTOL:
         raise NonUnimodularLambda(lam)
 
 
@@ -122,7 +120,7 @@ _LABELS = {
 }
 
 
-def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParams:
+def _classify(coin: CoinMatrix, walk_type: WalkType) -> ReducedParams:
     """Type 1 classification of the coin, or for Type 2 of the coin with
     columns 1 and 3 swapped, where -C/a13, -D/a31 and the diagonal entries
     a1, a2 are the Type 2 candidates and anti-diagonal entries."""
@@ -134,38 +132,38 @@ def _classify(coin: CoinMatrix, walk_type: WalkType, tol: float) -> ReducedParam
     m = _minors(a)
     lam1 = -m.C / a[0, 2]
     lam2 = -m.D / a[2, 0]
-    if abs(lam1 - lam2) > tol:
+    if abs(lam1 - lam2) > RTOL:
         raise InconsistentLambda(lam1, lam2, candidates)
-    _check_unimodular(lam1, tol)
+    _check_unimodular(lam1)
     a1 = a[0, 0] - a[0, 2] * a[1, 0] / a[1, 2]
     a2 = a[2, 2] - a[1, 2] * a[2, 0] / a[1, 0]
-    if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > tol:
+    if walk_type is WalkType.TYPE2 and abs(lam1 * lam1 - a1 * a2) > RTOL:
         raise SquareConditionFailed(complex(lam1), complex(a1), complex(a2))
 
     lam = complex(lam1)
-    if np.abs(_reduced(a, m, lam) - np.diag([a1, a2])).max() > tol:
+    if np.abs(_reduced(a, m, lam) - np.diag([a1, a2])).max() > RTOL:
         raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
 
     return ReducedParams(walk_type, lam, complex(a1), complex(a2), abs(lam1 - lam2))
 
 
-def type1_params(coin: CoinMatrix, tol: float = RTOL) -> ReducedParams:
+def type1_params(coin: CoinMatrix) -> ReducedParams:
     """Classify a coin as Type 1 and extract (lambda, a1, a2).
 
-    Succeeds iff -C/a13 and -D/a31 agree within ``tol`` and lie on the unit
+    Succeeds iff -C/a13 and -D/a31 agree within ``RTOL`` and lie on the unit
     circle.  The returned a1, a2 are the closed-form diagonal entries; as a
     guard, the reduced matrix at lambda is recomputed and must actually be
     diagonal with those entries.
     """
-    return _classify(coin, WalkType.TYPE1, tol)
+    return _classify(coin, WalkType.TYPE1)
 
 
-def type2_params(coin: CoinMatrix, tol: float = RTOL) -> ReducedParams:
+def type2_params(coin: CoinMatrix) -> ReducedParams:
     """Classify a coin as Type 2 and extract (lambda, a1, a2).
 
-    Succeeds iff B/a11 and E/a33 agree within ``tol``, lie on the unit
-    circle, and lambda^2 = a1 a2 within ``tol``.  The last condition is what
+    Succeeds iff B/a11 and E/a33 agree within ``RTOL``, lie on the unit
+    circle, and lambda^2 = a1 a2 within ``RTOL``.  The last condition is what
     closes the anti-diagonal two-step recursion; SquareConditionFailed
     carries the computed lambda, a1, a2 so callers can report them.
     """
-    return _classify(coin, WalkType.TYPE2, tol)
+    return _classify(coin, WalkType.TYPE2)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .reduced import ReducedParams, WalkType
 from .state import Cycle, Measure, Seeds, Topology, WaveState
-from .tolerance import CLOSURE_TOL_PER_SITE, RTOL, TAN_POLE_TOL
+from .tolerance import CLOSURE_TOL_PER_SITE, MIN_SCALE, RTOL, TAN_POLE_TOL
 
 __all__ = [
     "type1_state",
@@ -104,9 +104,7 @@ def cycle_restriction(
     the unclosed state's eigen residual is the largest |phi| |e^{i n k} - 1|.
 
     The mismatch may be CLOSURE_TOL_PER_SITE * n, because its rounding error
-    grows linearly in n (see :mod:`qwstat.tolerance`).  Momenta are read
-    from params as given: a coin classified at a looser tol may be off by
-    that.
+    grows linearly in n (see :mod:`qwstat.tolerance`).
     """
     state = type1_state(coin, params, phi1, phi3, Cycle(n))
     n = state.topology.n
@@ -171,9 +169,11 @@ def _finite_state(
 ) -> WaveState:
     """The state with these channels, if every site's squared modulus is finite.
 
-    Finite seeds can still give a measure that overflows (|1e200|^2); no
-    measure, drift or residual of such a state means anything, so it is an
-    input error here rather than a CSV of inf or a NaN drift later.
+    Finite seeds can still give a measure that overflows (|1e200|^2) or, for
+    a nonzero state, underflows below MIN_SCALE (|1e-170|^2); no measure,
+    drift or residual of such a state means anything, so it is an input
+    error here rather than a CSV of inf, a NaN drift or a drift check passed
+    on zeros later.
     """
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
     parts = state.amplitudes.view(np.float64)  # re and im of each channel
@@ -185,6 +185,8 @@ def _finite_state(
         raise ValueError(
             f"seeds too large: the squared modulus of the state overflows at site {site}"
         )
+    if mu.max(initial=0.0) < MIN_SCALE and parts.any():
+        raise ValueError("seeds too small: the largest squared modulus of the state underflows")
     return state
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "CLOSURE_TOL_PER_SITE",
     "TAN_POLE_TOL",
     "DRIFT_TOL",
+    "MIN_SCALE",
 ]
 
 # Max entrywise deviation of A A* from the identity that a coin may have,
@@ -49,3 +50,6 @@ TAN_POLE_TOL = 1e-12
 # Largest drift |mu_k(x) - mu_0(x)| a stationary state may show, relative to
 # max(mu_0) over all sites at step 0.
 DRIFT_TOL = 1e-9
+
+# Smallest max(mu) of a nonzero state: the smallest normal double, relative to 1.
+MIN_SCALE = 2.0**-1022

@@ -447,6 +447,28 @@ class TestVerify:
             f"error: seeds too large: the squared modulus of the state overflows at site {site}\n"
         )
 
+    @pytest.mark.parametrize("command", ["stationary", "verify"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--type", "1", "--phi1", "1e-170", "--phi3", "1e-170", "--topology", "cycle:12"],
+            ["--type", "1", "--phi1", "1e-155", "--phi3", "1e-155", "--topology", "cycle:12"],
+            ["--type", "2", "--seeds", "tiny_seed.json", "--topology", "window:4"],
+        ],
+    )
+    def test_underflowing_seeds_are_input_errors(self, tmp_path, monkeypatch, capsys, command, args):
+        # every weight 0 or subnormal: verify used to pass on a scale of 0.0
+        # (1e-170) or of 6e-310 (1e-155)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny_seed.json").write_text(json.dumps({"values": {"2": [1e-160, 0.0]}}))
+        code = main([command, "--coin", "grover", *args])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: seeds too small: the largest squared modulus of the state underflows\n"
+        )
+
     def test_eigen_residual_site_is_at_the_seam(self, capsys):
         # the Fourier Type 1 left mover has period 3, so it does not close on
         # a 10-cycle: site 9 reads site 0 where the line would have site 10

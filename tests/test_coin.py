@@ -16,6 +16,7 @@ from qwstat import (
     stefanak_eta,
     stefanak_rho,
 )
+from qwstat.tolerance import UNITARITY_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -109,10 +110,11 @@ class TestMakeCoin:
 
     def test_tolerance_is_honoured(self):
         m = grover().matrix * (1 + 5e-9)  # A A* = (1 + 5e-9)^2 I
-        with pytest.raises(NonUnitary):
-            make_coin(m)
-        assert make_coin(m, tol=1e-6).unitarity_deviation() == pytest.approx(1e-8, rel=1e-3)
-        assert CoinMatrix(m, tol=1e-6).unitarity_deviation() == pytest.approx(1e-8, rel=1e-3)
+        for build in (make_coin, CoinMatrix):
+            with pytest.raises(NonUnitary) as exc:
+                build(m)
+            assert exc.value.max_deviation == pytest.approx(1e-8, rel=1e-3)
+            assert exc.value.tol == UNITARITY_TOL
 
     def test_entry_attributes(self):
         g = grover()

@@ -30,6 +30,7 @@ from qwstat import (
     type2_state,
     verify_stationary,
 )
+from qwstat.tolerance import MIN_SCALE
 
 
 def random_state(topology, rng):
@@ -498,6 +499,18 @@ def exact_state(kind, size, seed_scale, rng):
     return coin, type2_state(coin, type2_params(coin), seeds, topology)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="the drift is checked against max(mu0) over all sites"
+)
+def test_defect_where_the_weight_is_small_fails():
+    # site 1000's amplitudes made 1.5 times too large: its drift, 1.25, is
+    # far below tol * scale = 1e-9 * 1.25e12
+    coin = grover()
+    amps = type2_state(coin, type2_params(coin), {0: 1e6, 1000: 1}, Cycle(2000)).amplitudes.copy()
+    amps[1000] *= 1.5
+    assert verify_stationary(coin, WaveState(Cycle(2000), amps), 50).passed is False
+
+
 class TestRelativeDrift:
     """The drift check is relative to max(mu_0), so its answer does not
     depend on the scale of the seeds."""
@@ -562,6 +575,24 @@ class TestRelativeDrift:
         state = WaveState(Cycle(5), np.zeros((5, 3), dtype=complex))
         report = verify_stationary(grover(), state, 4)
         assert (report.scale, report.max_measure_drift, report.passed) == (0.0, 0.0, True)
+
+    @pytest.mark.parametrize("value", [1e-170, 1e-155])
+    def test_underflowed_state_fails(self, value):
+        # every weight is 0 (1e-170) or subnormal (1e-155): the drift is 0 or
+        # a few bits, and would pass any tolerance relative to such a scale
+        coin = grover()
+        state = WaveState(Cycle(12), np.full((12, 3), value, dtype=complex))
+        report = verify_stationary(coin, state, 10)
+        assert report.scale < MIN_SCALE
+        assert report.max_measure_drift <= report.tol * report.scale
+        assert report.passed is False
+
+    def test_smallest_normal_scale_passes(self):
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), 1e-153, 1e-153, Cycle(12))
+        report = verify_stationary(coin, state, 10)
+        assert report.scale >= MIN_SCALE
+        assert report.passed is True
 
     def test_scale_is_the_largest_initial_weight(self):
         state = impulses(Window(8), {(0, 0): 3.0, (8, 1): 1.0})  # sites -8 and 0
@@ -649,8 +680,8 @@ class TestRing:
     def test_window_edges_of_a_reused_slot_stay_zero(self):
         # on a window the matmul never writes left at the last site or right
         # at the first site of a slot, so those cells must keep their zeros
-        # each time a slot is reused: step 0, which is nonzero there, must
-        # never have been stored in a slot
+        # each time a slot is reused, including the slot that held step 0,
+        # which is nonzero there
         topology, n_steps = Window(200), 199
         assert ring_blocks(topology.n_sites, n_steps) == (6, 34)  # 17 blocks in each half
         rng = np.random.default_rng(19)
@@ -660,6 +691,20 @@ class TestRing:
         # a stale edge value stays outside the compared sites, but it changes
         # the norm, so the leaked norm must match the loop of steps
         self.check(coin, state, n_steps)
+
+    def test_memory(self):
+        # at this size a block is one step: two slots of 48 bytes a site, the
+        # block's measure and mu0 of 8 each, and no array of its own for step 0
+        n = 99_999
+        state = random_state(Cycle(n), np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evolve._drift_trace(grover().matrix, state.amplitudes, 100, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * n + 64 * 1024
 
     @pytest.mark.parametrize(
         "coin",

@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 
 from qwstat import (
     CentralReflection,
+    CoinMatrix,
     InconsistentLambda,
     NonUnimodularLambda,
-    NonUnitary,
     QWalkError,
     SquareConditionFailed,
     WalkType,
@@ -26,6 +25,7 @@ from qwstat import (
     type1_params,
     type2_params,
 )
+from qwstat.tolerance import RTOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -221,7 +221,7 @@ class TestStructuralIdentities:
             assert abs(abs(p.a_tilde_1 * p.a_tilde_2) - 1) < 1e-10
 
 
-def paper_params(coin, walk_type, tol=1e-10):
+def paper_params(coin, walk_type):
     """(lam, a1, a2, residual) from the paper's formulas, written out per type."""
     a = coin.matrix
     for i in range(3):
@@ -241,16 +241,16 @@ def paper_params(coin, walk_type, tol=1e-10):
     else:
         lam1, lam2, detail = B / a11, E / a33, "B/a11 vs E/a33"
         a1, a2 = a13 - a11 * a23 / a21, a31 - a21 * a33 / a23
-    if abs(lam1 - lam2) > tol:
+    if abs(lam1 - lam2) > 1e-10:
         raise InconsistentLambda(lam1, lam2, detail)
-    if abs(abs(lam1) - 1.0) > tol:
+    if abs(abs(lam1) - 1.0) > 1e-10:
         raise NonUnimodularLambda(lam1)
-    if walk_type == 2 and abs(lam1 * lam1 - a1 * a2) > tol:
+    if walk_type == 2 and abs(lam1 * lam1 - a1 * a2) > 1e-10:
         raise SquareConditionFailed(lam1, a1, a2)
     top = [[lam1 * a11 - B, lam1 * a13 + C], [lam1 * a31 + D, lam1 * a33 - E]]
     rm = np.array(top) / (lam1 - a22)
     expected = np.diag([a1, a2]) if walk_type == 1 else np.array([[0, a1], [a2, 0]])
-    if np.abs(rm - expected).max() > tol:
+    if np.abs(rm - expected).max() > 1e-10:
         shape = "diagonal" if walk_type == 1 else "anti-diagonal"
         raise InconsistentLambda(lam1, lam2, f"reduced matrix is not {shape} with (a1, a2)")
     return lam1, a1, a2, abs(lam1 - lam2)
@@ -339,40 +339,26 @@ class TestPaperFormulas:
         assert guarded >= 10
 
 
-class TestLooselyAcceptedCoin:
-    """A coin accepted at a looser unitarity tolerance than the default still
-    classifies: Type 2 runs on the column-swapped matrix, which is as unitary
-    as the coin itself and is not validated again."""
+class TestOneTolerance:
+    """Coins are validated at UNITARITY_TOL and classified at RTOL, with no
+    per-call override."""
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
-    def test_type2_matches_paper_formulas(self, tol):
-        # moving a22 by 1e-8 i keeps B/a11 = E/a33 unimodular to 5e-17 but
-        # breaks the square condition by 2e-8
-        m = grover().matrix.copy()
-        m[1, 1] += 1e-8j
-        with pytest.raises(NonUnitary):
-            make_coin(m)
-        coin = make_coin(m, tol=1e-6)
-        assert 1e-9 < coin.unitarity_deviation() < 1e-7
-        try:
-            want = paper_params(coin, 2, tol)
-        except QWalkError as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                type2_params(coin, tol)
-            return
-        p = type2_params(coin, tol)
-        assert (p.lam, p.a_tilde_1, p.a_tilde_2, p.residual) == want
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: make_coin(grover().matrix, tol=1e-6),
+            lambda: make_coin(grover().matrix, 1e-6),
+            lambda: CoinMatrix(grover().matrix, tol=1e-6),
+            lambda: type1_params(grover(), 1e-6),
+            lambda: type2_params(grover(), tol=1e-6),
+            lambda: reduced_matrix(grover(), -1, tol=1e-6),
+        ],
+    )
+    def test_override_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
 
-    def test_scaled_grover_classifies_at_the_given_tol(self):
-        # |lambda| = 1 + 5e-9 for both types: off the unit circle by more
-        # than the default tolerance, inside 1e-6, which must also reach the
-        # reduced matrix's own unimodularity check
-        coin = make_coin(grover().matrix * (1 + 5e-9), tol=1e-6)
-        for classify in (type1_params, type2_params):
-            p = classify(coin, tol=1e-6)
-            assert abs(abs(p.lam) - 1) == pytest.approx(5e-9, rel=1e-3)
-            with pytest.raises(NonUnimodularLambda):
-                classify(coin)
+    def test_reduced_matrix_checks_lambda_at_rtol(self):
+        reduced_matrix(grover(), -(1 + 0.5 * RTOL))
         with pytest.raises(NonUnimodularLambda):
-            reduced_matrix(coin, -(1 + 5e-9))
-        reduced_matrix(coin, -(1 + 5e-9), tol=1e-6)  # accepted at the looser tol
+            reduced_matrix(grover(), -(1 + 2 * RTOL))

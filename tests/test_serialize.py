@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwstat import (
@@ -35,6 +35,7 @@ from qwstat.serialize import (
     topology_from_json,
     topology_to_json,
 )
+from qwstat.tolerance import MIN_SCALE
 
 
 def test_coin_round_trip():
@@ -257,18 +258,22 @@ def test_seed_arrays_match_the_old_dict(pairs, order):
     ),
     coin=st.sampled_from([grover(), stefanak_rho(0.4)]),
 )
+@example(topology=Window(2), pairs={-3: (1e-170, 0.0), 0: (0.0, -1e-160), 40: (1.0, 0.0)},
+         coin=grover())
 @settings(max_examples=100, deadline=None)
 def test_type2_state_from_seed_arrays_matches_the_dict(topology, pairs, coin):
     doc = json.loads(json.dumps({"values": {str(k): list(v) for k, v in pairs.items()}}))
     params = type2_params(coin)
     try:
         want = type2_state(coin, params, old_seeds_from_json(doc), topology).amplitudes
-    except DegenerateSeeds as exc:  # zero on every site the topology reads
+    except (DegenerateSeeds, ValueError) as exc:  # zero, or too small, where it reads
+        assert isinstance(exc, DegenerateSeeds) or str(exc).startswith("seeds too small: ")
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             type2_state(coin, params, seeds_from_json(doc), topology)
         return
     got = type2_state(coin, params, seeds_from_json(doc), topology).amplitudes
     assert got.tobytes() == want.tobytes()
+    assert (np.abs(want) ** 2).sum(axis=1).max() >= MIN_SCALE / 2  # else too small above
 
 
 @pytest.mark.parametrize("site", [2**63, -(2**63) - 1, 2**70])

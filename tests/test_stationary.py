@@ -33,13 +33,31 @@ from qwstat import (
     type2_state,
 )
 from qwstat.stationary import closed_form_applies
-from qwstat.tolerance import CLOSURE_TOL_PER_SITE, RTOL
+from qwstat.tolerance import CLOSURE_TOL_PER_SITE, MIN_SCALE, RTOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 seed_values = st.complex_numbers(
     min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False
 )
+
+
+
+def built_unless_too_small(build, seeds):
+    """build(), or None once it raised "seeds too small".  For the coins of
+    these tests max(mu) is at most 17 times the largest squared seed and at
+    least that seed's square, so it must raise when that is below
+    MIN_SCALE / 64 and must not when it is at least 2 * MIN_SCALE."""
+    top = max((abs(complex(v)) for v in seeds), default=0.0) ** 2
+    if top >= 2 * MIN_SCALE:
+        return build()
+    try:
+        built = build()
+    except ValueError as exc:
+        assert str(exc).startswith("seeds too small: ")
+        return None
+    assert top >= MIN_SCALE / 64, "seeds too small were accepted"
+    return built
 
 
 def stay_consistency(coin, params, state):
@@ -107,6 +125,15 @@ class TestType1State:
         with pytest.raises(ValueError, match="overflows at site -3$"):
             type1_state(coin, type1_params(coin), 1e200, 1e200, Window(3))
 
+    @pytest.mark.parametrize("seed", [1e-170, 1e-155])
+    def test_underflowing_measure_rejected(self, seed):
+        # nonzero seeds, but every weight underflows to zero or a subnormal
+        coin = grover()
+        with pytest.raises(ValueError, match="^seeds too small: .* underflows$"):
+            type1_state(coin, type1_params(coin), seed, seed, Cycle(12))
+        state = type1_state(coin, type1_params(coin), 1e-153, 0, Cycle(12))
+        assert measure_of(state).values.max() >= MIN_SCALE
+
     def test_unimodular_profile_moduli(self):
         # |left(x)| = |phi1| and |right(x)| = |phi3| at every site
         for coin in (fourier(), stefanak_eta(0.9)):
@@ -124,12 +151,18 @@ class TestType1State:
         assert stay_consistency(coin, p, state) < 1e-12
 
     @given(phi1=seed_values, phi3=seed_values)
+    @example(phi1=1e-170, phi3=-1e-170j)
+    @example(phi1=1e-155, phi3=0)
     @settings(max_examples=40, deadline=None)
     def test_grover_measure_formula_property(self, phi1, phi3):
         if abs(phi1) + abs(phi3) == 0:
             return
         coin = grover()
-        state = type1_state(coin, type1_params(coin), phi1, phi3, Cycle(7))
+        state = built_unless_too_small(
+            lambda: type1_state(coin, type1_params(coin), phi1, phi3, Cycle(7)), [phi1, phi3]
+        )
+        if state is None:
+            return
         mu = measure_of(state)
         expected = 2 * (
             abs(phi1) ** 2 + abs(phi3) ** 2 + (phi1 * phi3.conjugate()).real
@@ -213,6 +246,15 @@ class TestType2State:
         with pytest.raises(ValueError, match="overflows at site 2$"):
             type2_state(coin, p, {0: 1.0, 2: 1e200}, topology)
 
+    @pytest.mark.parametrize("topology", [Cycle(5), Window(3)])
+    def test_underflowing_measure_rejected(self, topology):
+        # a zero beside a subnormal weight is no measure; one normal weight is
+        coin = grover()
+        p = type2_params(coin)
+        with pytest.raises(ValueError, match="^seeds too small: "):
+            type2_state(coin, p, {0: 1e-170, 2: 1e-160j}, topology)
+        assert measure_of(type2_state(coin, p, {0: 1e-170, 2: 1e-150}, topology)).values.max() >= MIN_SCALE
+
     def test_site_key_beyond_int64_rejected(self):
         coin = grover()
         with pytest.raises(ValueError, match="64 bits"):
@@ -226,6 +268,7 @@ class TestType2State:
     )
     @example(topology=Cycle(5), seeds={-1: 1.0, 5: 2.0, 4: 3.0, 0: 1j, 7: -1.0})
     @example(topology=Window(3), seeds={-4: 1.0, -5: 2.0, 4: 3.0, 0: 1j, -40: 5.0})
+    @example(topology=Cycle(5), seeds={1: 1e-170, 3: 1e-160j, 9: 1.0})
     @settings(max_examples=80, deadline=None)
     def test_seed_lookup_matches_per_site_lookup(self, topology, seeds):
         # reference: look every site and its left neighbour up one at a time
@@ -235,7 +278,11 @@ class TestType2State:
         assume(np.abs(phi).max() > 0 or np.abs(prev).max() > 0)
         coin = grover()
         p = type2_params(coin)
-        state = type2_state(coin, p, seeds, topology)
+        state = built_unless_too_small(
+            lambda: type2_state(coin, p, seeds, topology), [*phi, *prev]
+        )
+        if state is None:
+            return
         assert np.array_equal(state.amplitudes[:, 0], phi)
         assert np.array_equal(state.amplitudes[:, 2], p.lam / p.a_tilde_1 * prev)
 
@@ -350,6 +397,7 @@ class TestClosedFormType2:
     )
     @example(topology=Cycle(5), seeds={-1: 1.0, 5: 2.0, 4: 3.0, 0: 1j, 7: -1.0})
     @example(topology=Window(3), seeds={-4: 1.0, -5: 2.0, 4: 3.0, 0: 1j, -40: 5.0})
+    @example(topology=Cycle(5), seeds={1: 1e-170, 3: 1e-160j, 9: 1.0})
     @settings(max_examples=80, deadline=None)
     def test_per_site_values_match_constructed_measure(self, topology, seeds):
         # the closed form reads seeds one site at a time, type2_state through
@@ -363,7 +411,13 @@ class TestClosedFormType2:
                 with pytest.raises(DegenerateSeeds):
                     type2_state(coin, params, seeds, topology)
                 continue
-            mu = measure_of(type2_state(coin, params, seeds, topology)).values
+            state = built_unless_too_small(
+                lambda: type2_state(coin, params, seeds, topology),
+                [seeds.get(k, 0) for k in read],
+            )
+            if state is None:
+                continue
+            mu = measure_of(state).values
             closed = [closed_form_measure_type2(coin, seeds, int(x), topology) for x in xs]
             np.testing.assert_allclose(closed, mu, rtol=1e-12, atol=1e-12)
 
