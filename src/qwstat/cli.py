@@ -221,8 +221,7 @@ def closed_form_column(coin, topology, seeds) -> np.ndarray | None:
         return None
     sites = topology.sites()
     if type2:
-        # a dict, not the Seeds, because the closed form looks seeds up one
-        # site at a time, and a dict lookup is the faster
+        # the closed form looks seeds up one site at a time, in a mapping
         lookup = dict(zip(seeds.sites.tolist(), seeds.values.tolist()))
         return np.array(
             [closed_form_measure_type2(coin, lookup, int(x), topology) for x in sites]

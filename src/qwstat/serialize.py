@@ -8,7 +8,7 @@ round-trips doubles exactly.
 from __future__ import annotations
 
 from itertools import chain
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "state_from_json",
     "measure_to_json",
     "measure_to_csv",
-    "seeds_to_json",
     "seeds_from_json",
     "reduced_params_to_json",
 ]
@@ -149,13 +148,6 @@ def measure_to_csv(
         closed = np.asarray(closed_form, dtype=np.float64).tolist()
         rows = [f"{x},{v!r},{c!r}\n" for x, v, c in zip(xs, mus, closed)]
     out.write(header + "".join(rows))
-
-
-def seeds_to_json(seeds: Mapping[int, complex]) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "values": {str(int(x)): _pair(v) for x, v in seeds.items()},
-    }
 
 
 def seeds_from_json(obj) -> Seeds:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Union
 
@@ -136,14 +135,14 @@ class Measure:
         return self.topology.sites()
 
 
-class Seeds(Mapping):
-    """Type 2 seeds: a read-only mapping from sites to left amplitudes.
+class Seeds:
+    """Type 2 seeds: the left amplitudes at some sites, as two read-only arrays.
 
-    It is kept as two read-only arrays: ``sites`` (int64, increasing, no
-    site twice) and ``values`` (complex128), the amplitude at each site.
-    Sites may be given in any order; a site given twice, or one that does
-    not fit in 64 bits, raises ValueError.  Looking one site up is a binary
-    search; ``type2_state`` reads the arrays whole.
+    ``sites`` (int64, increasing, no site twice) and ``values`` (complex128),
+    the amplitude at each site.  Sites may be given in any order; a site
+    given twice, or one that does not fit in 64 bits, raises ValueError.
+    ``type2_state`` reads the arrays whole; to look sites up one at a time,
+    build a dict from them.
     """
 
     __slots__ = ("sites", "values")
@@ -169,21 +168,3 @@ class Seeds(Mapping):
         v.setflags(write=False)
         self.sites = s
         self.values = v
-
-    def __getitem__(self, site) -> complex:
-        try:
-            i = int(np.searchsorted(self.sites, site))
-            if i < len(self.sites) and self.sites[i] == site:
-                return complex(self.values[i])
-        except (TypeError, OverflowError):  # not a site an int64 can name
-            pass
-        raise KeyError(site)
-
-    def __iter__(self):
-        return iter(self.sites.tolist())
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def __repr__(self) -> str:
-        return f"Seeds({dict(zip(self.sites.tolist(), self.values.tolist()))!r})"

@@ -121,7 +121,7 @@ def cycle_restriction(
 def type2_state(
     coin: CoinMatrix,
     params: ReducedParams,
-    seeds: Mapping[int, complex],
+    seeds: Seeds | Mapping[int, complex],
     topology: Topology,
 ) -> WaveState:
     """Sequence-seeded eigenstate of a Type 2 coin.
@@ -252,13 +252,14 @@ def closed_form_measure_type2(
     coin: CoinMatrix,
     seeds: Mapping[int, complex],
     x: int,
-    topology: Topology | None = None,
+    topology: Topology,
 ) -> float:
     """Closed-form Type 2 measure at site x for the supported families.
 
     Grover and stefanak_eta share one formula (independent of eta);
-    stefanak_rho has rho-dependent coefficients.  Pass the topology when
-    the seeds live on a cycle so the x-1 lookup wraps.
+    stefanak_rho has rho-dependent coefficients.  ``seeds`` maps sites to
+    left amplitudes, absent sites reading as zero; on a cycle the x-1
+    lookup wraps.
     """
     coefficients = _TYPE2_COEFFICIENTS.get(coin.family)
     if coefficients is None:
@@ -266,19 +267,18 @@ def closed_form_measure_type2(
             f"no Type 2 closed-form measure for family {coin.family!r}"
         )
     c_sq, c_cross = coefficients(coin.family_param)
-    wrap = topology.wrap if topology is not None else int
-    px = complex(seeds.get(wrap(int(x)), 0.0))
-    pp = complex(seeds.get(wrap(int(x) - 1), 0.0))
+    px = complex(seeds.get(topology.wrap(int(x)), 0.0))
+    pp = complex(seeds.get(topology.wrap(int(x) - 1), 0.0))
     return c_sq * (abs(px) ** 2 + abs(pp) ** 2) + c_cross * (px * pp.conjugate()).real
 
 
-def detect_period(measure: Measure, max_period: int | None = None) -> int | None:
-    """Smallest p <= max_period with mu(x + p) = mu(x) everywhere, or None.
+def detect_period(measure: Measure) -> int | None:
+    """Smallest p, at most half the number of sites, with mu(x + p) = mu(x)
+    everywhere, or None.
 
     Equality is within RTOL relative to max(mu), so the answer does
     not depend on the scale of the seeds; an all-zero measure needs exact
-    equality.  p = 1 means the measure is uniform.  ``max_period`` defaults
-    to half the number of sites and may not exceed it.
+    equality.  p = 1 means the measure is uniform.
 
     On a cycle of n sites the shifts that leave the measure unchanged form a
     subgroup of Z_n, whose smallest positive element divides n, so only the
@@ -287,13 +287,9 @@ def detect_period(measure: Measure, max_period: int | None = None) -> int | None
     """
     v = measure.values
     n = len(v)
-    if max_period is None:
-        max_period = n // 2
-    if not 1 <= max_period <= n // 2:
-        raise ValueError(f"max_period must be in [1, {n // 2}], got {max_period}")
     tol = RTOL * v.max(initial=0.0)
     on_cycle = isinstance(measure.topology, Cycle)
-    for p in range(1, max_period + 1):
+    for p in range(1, n // 2 + 1):
         if on_cycle and n % p:
             continue
         dev = np.abs(v[p:] - v[:-p]).max()

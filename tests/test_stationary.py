@@ -355,23 +355,23 @@ class TestClosedFormA1:
 
 class TestClosedFormType2:
     def test_grover_unit_seeds(self):
-        assert closed_form_measure_type2(grover(), {0: 1.0, 1: 1.0}, 1) == pytest.approx(3.0)
+        assert closed_form_measure_type2(grover(), {0: 1.0, 1: 1.0}, 1, Window(2)) == pytest.approx(3.0)
 
     def test_rho_at_grover_point_matches_grover_coefficients(self):
         seeds = {0: 0.4 + 0.1j, 1: -0.7j}
-        a = closed_form_measure_type2(grover(), seeds, 1)
-        b = closed_form_measure_type2(stefanak_rho(1 / math.sqrt(3)), seeds, 1)
+        a = closed_form_measure_type2(grover(), seeds, 1, Window(2))
+        b = closed_form_measure_type2(stefanak_rho(1 / math.sqrt(3)), seeds, 1, Window(2))
         assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.5, 3.0])
     def test_eta_independent(self, eta):
         # the deformation parameter drops out of the Type 2 measure entirely
-        value = closed_form_measure_type2(stefanak_eta(eta), {0: 1.0, 1: 1j}, 1)
+        value = closed_form_measure_type2(stefanak_eta(eta), {0: 1.0, 1: 1j}, 1, Window(2))
         assert value == pytest.approx(2.5, abs=1e-12)
 
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedFamily):
-            closed_form_measure_type2(fourier(), {0: 1.0}, 0)
+            closed_form_measure_type2(fourier(), {0: 1.0}, 0, Window(2))
 
     def test_cycle_wraparound(self):
         seeds = {x: complex(x + 1) for x in range(5)}
@@ -452,7 +452,7 @@ class TestClosedFormApplies:
 class TestDetectPeriod:
     def test_alternating(self):
         mu = Measure(Cycle(8), np.tile([1.0, 2.0], 4))
-        assert detect_period(mu, 4) == 2
+        assert detect_period(mu) == 2
 
     def test_uniform_is_one(self):
         mu = Measure(Cycle(6), np.full(6, 3.5))
@@ -462,16 +462,9 @@ class TestDetectPeriod:
         mu = Measure(Window(4), np.arange(9, dtype=float))
         assert detect_period(mu) is None
 
-    def test_bad_max_period(self):
-        mu = Measure(Cycle(6), np.ones(6))
-        with pytest.raises(ValueError):
-            detect_period(mu, 0)
-        with pytest.raises(ValueError):
-            detect_period(mu, 4)
-
     def test_window_comparisons_do_not_wrap(self):
         mu = Measure(Window(2), np.array([1.0, 2.0, 1.0, 2.0, 1.0]))
-        assert detect_period(mu, 2) == 2
+        assert detect_period(mu) == 2
 
     @given(st.integers(1, 4), st.integers(2, 5))
     @settings(max_examples=30, deadline=None)
@@ -517,20 +510,20 @@ class TestDetectPeriod:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_scan(self, data):
-        mu, max_period, block = data.draw(periodic_or_aperiodic_measures())
-        found = detect_period(mu, max_period)
-        assert found == brute_force_period(mu, max_period)
+        mu, block = data.draw(periodic_or_aperiodic_measures())
+        found = detect_period(mu)
+        assert found == brute_force_period(mu)
         if found is not None and isinstance(mu.topology, Cycle):
             assert mu.topology.n % found == 0
-        if block is not None and block <= max_period:
+        if block is not None and block <= mu.topology.n_sites // 2:
             assert found is not None and block % found == 0
 
 
-def brute_force_period(measure, max_period):
-    """Every shift 1..max_period, compared through np.roll on cycles."""
+def brute_force_period(measure):
+    """Every shift up to half the sites, compared through np.roll on cycles."""
     v = measure.values
     tol = RTOL * v.max(initial=0.0)
-    for p in range(1, max_period + 1):
+    for p in range(1, len(v) // 2 + 1):
         if isinstance(measure.topology, Cycle):
             dev = np.abs(np.roll(v, -p) - v).max()
         else:
@@ -542,7 +535,7 @@ def brute_force_period(measure, max_period):
 
 @st.composite
 def periodic_or_aperiodic_measures(draw):
-    """(measure, max_period, block length or None when aperiodic).
+    """(measure, block length or None when aperiodic).
 
     Periodic measures repeat a random block; on a cycle its length divides
     n, on a window it need not.  Noise, when added, is 1e-4 of the tolerance.
@@ -566,8 +559,7 @@ def periodic_or_aperiodic_measures(draw):
         if kind == "noisy":
             values *= 1.0 + 1e-4 * RTOL * rng.uniform(-1.0, 1.0, n)
     scale = 10.0 ** draw(st.integers(-8, 8))
-    max_period = draw(st.integers(1, n // 2))
-    return Measure(topology, scale * values), max_period, block
+    return Measure(topology, scale * values), block
 
 
 def fourier_restriction(phi1, phi3, n):
