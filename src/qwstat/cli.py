@@ -56,6 +56,8 @@ EXIT_DRIFT = 3
 EXIT_INPUT = 4
 EXIT_SQUARE = 5
 
+_NAME_MAX = 255  # bytes in one file name on common file systems
+
 DEFAULTS = {
     "schema": SCHEMA_VERSION,
     "topology": "cycle:30",
@@ -221,7 +223,7 @@ def closed_form_column(coin, topology, seeds) -> np.ndarray | None:
         return None
     sites = topology.sites()
     if type2:
-        # the closed form looks seeds up one site at a time, in a mapping
+        # the closed form reads one site at a time from a mapping, which Seeds is not
         lookup = dict(zip(seeds.sites.tolist(), seeds.values.tolist()))
         return np.array(
             [closed_form_measure_type2(coin, lookup, int(x), topology) for x in sites]
@@ -359,6 +361,12 @@ def cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         clash = next(name for i, name in enumerate(names) if name in names[:i])
         raise UsageError(f"two sweep values would both write {clash}; file names keep 6 decimals")
+    for value, name in zip(grid, names):
+        if len(f"{name}.tmp".encode()) > _NAME_MAX:
+            raise UsageError(
+                f"sweep value {value!r} gives a file name longer than {_NAME_MAX} bytes "
+                f"with its .tmp suffix"
+            )
     # Every point is computed before anything is written, so a grid value
     # that fails leaves no output directory and no partial sweep behind.
     # CSV text is rendered only as each file is written, so at most one is

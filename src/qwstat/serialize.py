@@ -53,6 +53,28 @@ def _complex_array(pairs, what: str) -> np.ndarray:
     return np.array(flat, dtype=np.float64).view(np.complex128)
 
 
+def _sites_of_keys(keys) -> np.ndarray:
+    """The sites that a JSON object's keys name, as int64, converted in bulk.
+
+    A key must be ASCII digits with an optional leading "-"; leading zeros
+    are allowed ("01" is site 1).  Any other key raises ValueError naming
+    it, although int() would read some ("1_0" as 10, " 2 " as 2, "+3" as 3),
+    and so does a site that does not fit in 64 bits.
+    """
+    joined = "".join(keys)
+    if not joined or (joined.isascii() and joined.replace("-", "").isdigit()):
+        try:
+            return np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
+        except OverflowError:
+            raise ValueError("site index does not fit in 64 bits") from None
+        except ValueError:  # an empty key, or a "-" after the first character
+            pass
+    for key in keys:
+        digits = key.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"site key {key!r} is not an integer in ASCII digits")
+
+
 def coin_to_json(coin: CoinMatrix) -> dict:
     matrix = [[_pair(coin.matrix[i, j]) for j in range(3)] for i in range(3)]
     return {"schema": SCHEMA_VERSION, "matrix": matrix}
@@ -98,21 +120,22 @@ def state_from_json(obj) -> WaveState:
     """Read a state; each listed site holds exactly three [re, im] pairs, the
     left, stay and right amplitudes, and sites not listed are zero.
 
-    Every key must name a site of the topology, without wrapping on a cycle,
-    and no site may be named twice ("1" and "01" are one site).
+    Every key must be an integer in ASCII digits that names a site of the
+    topology, without wrapping on a cycle, and no site may be named twice
+    ("1" and "01" are one site).
     """
     topology = topology_from_json(obj["topology"])
     sites = topology.sites()
     first, last = int(sites[0]), int(sites[-1])
     amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
     filled = set()
-    for key, triple in obj["amplitudes"].items():
+    amplitudes = obj["amplitudes"]
+    for x, (key, triple) in zip(_sites_of_keys(amplitudes).tolist(), amplitudes.items()):
         channels = _complex_array(triple, "amplitude")
         if len(channels) != 3:
             raise ValueError(
                 f"site {key} must hold three [re, im] pairs, one per channel, got {len(channels)}"
             )
-        x = int(key)
         if not first <= x <= last:
             raise ValueError(f"site {key} is not a site of {topology} ({first}..{last})")
         if x in filled:
@@ -154,18 +177,14 @@ def seeds_from_json(obj) -> Seeds:
     """Read Type 2 seeds from a parsed document, ``{"values": {site: [re, im]}}``
     or the bare mapping.
 
-    Every key must name an integer site, and no site may be named twice
-    ("1" and "01" are one site).  Every value must be an array of two JSON
+    Every key must be an integer in ASCII digits, and no site may be named
+    twice ("1" and "01" are one site).  Every value must be an array of two JSON
     numbers.  The values are copied into the arrays of a :class:`Seeds` in
     bulk, without a Python number per seed.
     """
     values = obj["values"] if isinstance(obj, dict) and "values" in obj else obj
     pairs = list(values.values())
-    try:
-        sites = np.fromiter(map(int, values), dtype=np.int64, count=len(pairs))
-    except OverflowError:
-        raise ValueError("seed site index does not fit in 64 bits") from None
-    return Seeds(sites, _complex_array(pairs, "seed value"))
+    return Seeds(_sites_of_keys(values), _complex_array(pairs, "seed value"))
 
 
 def reduced_params_to_json(params: ReducedParams) -> dict:

@@ -96,7 +96,7 @@ class TestParsers:
     def test_topology(self):
         assert parse_topology("cycle:12") == Cycle(12)
         assert parse_topology("window:5") == Window(5)
-        for bad in ("ring:4", "cycle", "cycle:two", "cycle:1"):
+        for bad in ("ring:4", "cycle", "cycle:two", "cycle:1", "window:0"):
             with pytest.raises(UsageError):
                 parse_topology(bad)
 
@@ -623,6 +623,8 @@ class TestSweep:
             ("stefanak-rho", "0:1"),
             ("stefanak-rho", "a:1:3"),
             ("stefanak-rho", "0:1:0"),
+            # a 325-byte file name, which used to fail after the first CSV was written
+            ("stefanak-eta", "0.5,1e300"),
         ],
     )
     def test_failed_point_writes_nothing(self, tmp_path, capsys, coin, values):
@@ -711,6 +713,7 @@ class TestMisc:
             ("coin", coin_with_parts(lambda part: None)),
             pytest.param("seeds", SEEDS_TWICE, id="seeds-repeated-key"),
             pytest.param("coin", MATRIX_TWICE, id="coin-repeated-key"),
+            ("seeds", {"values": {"1_0": [1.0, 0.0]}}),  # int() reads it as site 10
         ],
     )
     def test_malformed_input_file(self, tmp_path, capsys, kind, doc):

@@ -594,6 +594,22 @@ class TestRelativeDrift:
         assert report.scale >= MIN_SCALE
         assert report.passed is True
 
+    @pytest.mark.parametrize("seed", [1e-150, 1e-152, 1e-153, 1e-154])
+    def test_subnormal_threshold_still_decides(self, seed):
+        # scale runs from 6e-300 down to 6e-308, so tol * scale is subnormal
+        # (6e-309 down to 6e-317), yet the drift of a 1e-8 defect, 2.8e-8 of
+        # the scale, still sits far above it and an exact state's below it
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), seed, seed, Cycle(12))
+        report = verify_stationary(coin, state, 50)
+        assert report.tol * report.scale < MIN_SCALE
+        assert report.passed is True
+        amps = state.amplitudes.copy()
+        amps[5] *= 1 + 1e-8
+        report = verify_stationary(coin, WaveState(Cycle(12), amps), 50)
+        assert report.max_measure_drift / report.scale == pytest.approx(2.8e-8, rel=0.01)
+        assert report.passed is False
+
     def test_scale_is_the_largest_initial_weight(self):
         state = impulses(Window(8), {(0, 0): 3.0, (8, 1): 1.0})  # sites -8 and 0
         report = verify_stationary(make_coin(np.eye(3)), state, 2)

@@ -143,6 +143,28 @@ def test_state_from_json_rejects_a_site_named_twice():
         state_from_json(doc)
 
 
+# keys that int() reads, or that name no site, which a site key may not be
+BAD_SITE_KEYS = ["1_0", " 2 ", "2\n", "+3", "\u0661\u0662", "\uff11", "", "-", "--1", "1-2", "1.0", "0x1"]
+
+
+@pytest.mark.parametrize("key", BAD_SITE_KEYS)
+def test_bad_site_key_is_named(key):
+    doc = {"values": {"0": [1.0, 0.0], key: [1.0, 0.0]}}
+    with pytest.raises(ValueError, match=re.escape(f"site key {key!r} is not an integer")):
+        seeds_from_json(doc)
+    doc = {"topology": {"kind": "cycle", "n": 12}, "amplitudes": {"0": [[1.0, 0.0]] * 3}}
+    doc["amplitudes"][key] = [[1.0, 0.0]] * 3
+    with pytest.raises(ValueError, match=re.escape(f"site key {key!r} is not an integer")):
+        state_from_json(doc)
+
+
+def test_site_keys_with_leading_zeros_and_signs():
+    seeds = seeds_from_json({"values": {"01": [1.0, 0.0], "-007": [2.0, 0.0], "-0": [3.0, 0.0]}})
+    assert seeds.sites.tolist() == [-7, 0, 1] and seeds.values.tolist() == [2.0, 3.0, 1.0]
+    doc = {"topology": {"kind": "window", "half_width": 2}, "amplitudes": {"-02": [[1.0, 0.0]] * 3}}
+    assert state_from_json(doc).amplitudes[0].tolist() == [1.0, 1.0, 1.0]
+
+
 def test_measure_csv_format():
     mu = Measure(Window(1), np.array([1.0, 2.5, 1 / 3]))
     buf = io.StringIO()
