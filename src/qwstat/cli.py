@@ -28,7 +28,7 @@ from .errors import (
     SquareConditionFailed,
 )
 from .evolve import eigen_residual, verify_stationary
-from .reduced import type1_params, type2_params
+from .reduced import WalkType, type1_params, type2_params
 from .serialize import (
     SCHEMA_VERSION,
     coin_from_json,
@@ -38,7 +38,7 @@ from .serialize import (
     seeds_from_json,
     state_to_json,
 )
-from .state import Cycle, Seeds, Topology, Window
+from .state import Cycle, Topology, Window
 from .stationary import (
     closed_form_applies,
     closed_form_measure_a1,
@@ -214,21 +214,23 @@ def build_state(args, coin: CoinMatrix, topology: Topology):
     return type2_state(coin, params, seeds, topology), params, seeds
 
 
-def closed_form_column(coin, topology, seeds) -> np.ndarray | None:
-    """Reference column for the measure, from the seeds build_state returned,
-    when a closed form applies."""
-    type2 = isinstance(seeds, Seeds)
+def measure_point(args, coin: CoinMatrix, topology: Topology):
+    """The requested eigenstate, its measure, and the closed-form column of
+    that measure, or None where no closed form applies."""
+    state, params, seeds = build_state(args, coin, topology)
+    measure = measure_of(state)
+    type2 = params.walk_type is WalkType.TYPE2
     phi1, phi3 = (None, None) if type2 else seeds
-    if not closed_form_applies(coin, 2 if type2 else 1, phi1, phi3):
-        return None
+    if not closed_form_applies(coin, params.walk_type.value, phi1, phi3):
+        return state, measure, None
     sites = topology.sites()
     if type2:
         # the closed form reads one site at a time from a mapping, which Seeds is not
         lookup = dict(zip(seeds.sites.tolist(), seeds.values.tolist()))
-        return np.array(
-            [closed_form_measure_type2(coin, lookup, int(x), topology) for x in sites]
-        )
-    return np.array([closed_form_measure_a1(coin.family_param, phi1, int(x)) for x in sites])
+        closed = [closed_form_measure_type2(coin, lookup, int(x), topology) for x in sites]
+    else:
+        closed = [closed_form_measure_a1(coin.family_param, phi1, int(x)) for x in sites]
+    return state, measure, np.array(closed)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -277,9 +279,7 @@ def cmd_classify(args) -> int:
 def cmd_stationary(args) -> int:
     coin = load_coin(args)
     topology = parse_topology(args.topology)
-    state, params, seeds = build_state(args, coin, topology)
-    measure = measure_of(state)
-    closed = closed_form_column(coin, topology, seeds)
+    state, measure, closed = measure_point(args, coin, topology)
 
     fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
     if fmt == "csv":
@@ -375,9 +375,7 @@ def cmd_sweep(args) -> int:
     columns = []  # (CSV name, measure, closed-form column) per point
     for value, name in zip(grid, names):
         coin = families[args.coin](value)
-        state, params, seeds = build_state(args, coin, topology)
-        measure = measure_of(state)
-        closed = closed_form_column(coin, topology, seeds)
+        _, measure, closed = measure_point(args, coin, topology)
         columns.append((name, measure, closed))
 
         max_diff = float(np.abs(measure.values - closed).max()) if closed is not None else None

@@ -59,12 +59,6 @@ def _momenta(params: ReducedParams) -> tuple[float, float]:
     return cmath.phase(params.lam / params.a_tilde_1), cmath.phase(params.a_tilde_2 / params.lam)
 
 
-def _stay_coefficient(coin: CoinMatrix, lam: complex) -> complex:
-    # 1/(lam - a22); for classified coins this equals -a13/(a12 a23)
-    # (Type 1) and -a11/(a12 a21) (Type 2) identically.
-    return 1.0 / (lam - coin.a22)
-
-
 def type1_state(
     coin: CoinMatrix,
     params: ReducedParams,
@@ -86,8 +80,7 @@ def type1_state(
     k1, k2 = _momenta(params)
     left = np.exp(1j * k1 * xs) * phi1
     right = np.exp(1j * k2 * xs) * phi3
-    stay = _stay_coefficient(coin, params.lam) * (coin.a21 * left + coin.a23 * right)
-    return _finite_state(topology, left, stay, right)
+    return _eigenstate(coin, params.lam, topology, left, right)
 
 
 def cycle_restriction(
@@ -141,33 +134,29 @@ def type2_state(
     if not np.isfinite(values).all():
         raise ValueError("seed values must be finite")
 
-    # seeds by site; on a window one extra slot in front holds site -W-1
-    if isinstance(topology, Cycle):
-        first, size = 0, topology.n
-    else:
-        first, size = -topology.half_width - 1, topology.n_sites + 1
-    padded = np.zeros(size, dtype=np.complex128)
-    idx = keys - first
-    inside = (idx >= 0) & (idx < size)
-    padded[idx[inside]] = values[inside]
-    if isinstance(topology, Cycle):
-        phi, phi_prev = padded, np.roll(padded, 1)
-    else:
-        phi, phi_prev = padded[1:], padded[:-1]
-    if np.abs(phi).max(initial=0.0) == 0.0 and np.abs(phi_prev).max(initial=0.0) == 0.0:
+    # N + 1 slots; slot 0 holds the site before the first: -W-1 on a window,
+    # and a copy of site N-1 on a cycle, which reads only keys 0..N-1
+    on_cycle = isinstance(topology, Cycle)
+    n = topology.n_sites
+    slot = keys + (1 if on_cycle else topology.half_width + 1)
+    inside = (slot >= 0) & (slot <= n)
+    padded = np.zeros(n + 1, dtype=np.complex128)
+    padded[slot[inside]] = values[inside]
+    if on_cycle:
+        padded[0] = padded[n]  # overwrites key -1
+    if not padded.any():
         raise DegenerateSeeds("seed sequence is identically zero on the topology")
-
-    shift = params.lam / params.a_tilde_1
-    left = phi
-    right = shift * phi_prev
-    stay = _stay_coefficient(coin, params.lam) * (coin.a21 * left + coin.a23 * right)
-    return _finite_state(topology, left, stay, right)
+    phi, phi_prev = padded[1:], padded[:-1]
+    return _eigenstate(coin, params.lam, topology, phi, (params.lam / params.a_tilde_1) * phi_prev)
 
 
-def _finite_state(
-    topology: Topology, left: np.ndarray, stay: np.ndarray, right: np.ndarray
+def _eigenstate(
+    coin: CoinMatrix, lam: complex, topology: Topology, left: np.ndarray, right: np.ndarray
 ) -> WaveState:
-    """The state with these channels, if every site's squared modulus is finite.
+    """The eigenstate with these left and right channels and the stay channel
+    they determine (see the module docstring), if every site's squared
+    modulus is finite.  For classified coins 1/(lam - a22) equals
+    -a13/(a12 a23) (Type 1) and -a11/(a12 a21) (Type 2) identically.
 
     Finite seeds can still give a measure that overflows (|1e200|^2) or, for
     a nonzero state, underflows below MIN_SCALE (|1e-170|^2); no measure,
@@ -175,6 +164,7 @@ def _finite_state(
     error here rather than a CSV of inf, a NaN drift or a drift check passed
     on zeros later.
     """
+    stay = 1.0 / (lam - coin.a22) * (coin.a21 * left + coin.a23 * right)
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
     parts = state.amplitudes.view(np.float64)  # re and im of each channel
     with np.errstate(over="ignore", invalid="ignore"):

@@ -226,6 +226,12 @@ class TestType2State:
             type2_state(coin, p, {}, Cycle(5))
         with pytest.raises(DegenerateSeeds):
             type2_state(coin, p, {0: 0.0, 1: 0.0}, Cycle(5))
+        # a cycle reads only keys 0..N-1, so neither its site -1 nor N counts
+        with pytest.raises(DegenerateSeeds):
+            type2_state(coin, p, {-1: 1.0, 5: 1.0}, Cycle(5))
+        # while a window reads -W-1, as the right amplitude of site -W
+        state = type2_state(coin, p, {-4: 1.0}, Window(3))
+        assert state.amplitude(-3)[2] == p.lam / p.a_tilde_1
 
     def test_type_mismatch(self):
         coin = grover()
