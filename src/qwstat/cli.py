@@ -1,8 +1,8 @@
 """qwstat: classify coins, build stationary measures, verify, sweep.
 
 Exit codes: 0 success, 2 classification failure (inconsistent or
-non-unimodular eigenvalue), 3 stationarity drift above tolerance,
-4 input/config error, 5 square-condition failure (Type 2 only).
+non-unimodular eigenvalue), 3 stationarity drift above tolerance, 4 input,
+config or command-line error, 5 square-condition failure (Type 2 only).
 """
 
 from __future__ import annotations
@@ -73,6 +73,15 @@ _OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 class UsageError(Exception):
     """Bad command line or input file; maps to exit code 4."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError (exit 4) after the usage
+    line: argparse's own exit 2 is qwstat's code for a failed classification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def parse_complex(text: str) -> complex:
@@ -407,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     Sharing it is safe because parse_args keeps no state between calls: each
     call fills a fresh Namespace and applies the defaults again.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwstat",
         description="Stationary measures of three-state quantum walks.",
         epilog=(
@@ -485,8 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     Every call in a process shares one parser (see build_parser), so code
     that calls main in a loop pays for building it once.
     """
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (UsageError, QWalkError, ValueError, OSError) as exc:
         code = _exit_code(exc)

@@ -686,6 +686,30 @@ class TestMisc:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--coin", "grover", "--type", "1", "--steps", "abc"],
+             "argument --steps: invalid int value: 'abc'"),
+            (["verify", "--coin", "grover", "--type", "3"], "argument --type: invalid choice"),
+            (["verify", "--coin", "grover", "--type", "1", "--tol", "x"],
+             "argument --tol: invalid float value: 'x'"),
+            (["classify", "--coin", "stefanak-rho", "--rho", "abc"],
+             "argument --rho: invalid float value: 'abc'"),
+            (["classify"], "the following arguments are required: --coin"),
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_malformed_command_line(self, capsys, argv, message):
+        # exit 2 is a failed classification, so argparse's own exit code is not used
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, _, error = captured.err.rpartition("\nerror: ")
+        assert usage.startswith("usage: qwstat")
+        assert error.startswith(message) and error.endswith("\n")
+
     def test_degenerate_seed_input(self):
         code = main(
             ["stationary", "--coin", "grover", "--type", "1",
@@ -778,7 +802,7 @@ class TestParserReuse:
             (None, verify, EXIT_DRIFT),
             (None, [*type2, "--type", "2", "--seeds", str(seeds)], EXIT_OK),
             (None, [*type2, "--type", "2"], EXIT_OK),
-            (None, [*type2, "--type", "3"], "argparse exit 2"),
+            (None, [*type2, "--type", "3"], EXIT_INPUT),
             (None, [*type2, "--type", "1"], EXIT_OK),
             (None, ["classify", "--coin", "stefanak-rho", "--rho", "0.4", "--json"], EXIT_OK),
             (None, ["classify", "--coin", "grover"], EXIT_OK),

@@ -116,6 +116,13 @@ class TestMakeCoin:
             assert exc.value.max_deviation == pytest.approx(1e-8, rel=1e-3)
             assert exc.value.tol == UNITARITY_TOL
 
+    def test_a_coin_1e_10_off_unitary_is_rejected(self):
+        # coins are accepted only up to a deviation of 1e-12
+        m = grover().matrix * (1 + 5e-11)  # A A* = (1 + 5e-11)^2 I
+        with pytest.raises(NonUnitary) as exc:
+            make_coin(m)
+        assert exc.value.max_deviation == pytest.approx(1e-10, rel=1e-3)
+
     def test_entry_attributes(self):
         g = grover()
         assert g.a33 == g.matrix[2, 2]

@@ -409,6 +409,23 @@ class TestVerifyStationary:
         with pytest.raises(WindowTooSmall):
             verify_stationary(coin, state, 5)
 
+    def test_a_cycle_leaks_nothing_when_its_norm_rounds_up(self):
+        # where the final norm on a cycle rounds above the initial one, the
+        # leaked norm is 0.0, not the size of that rounding
+        rng = np.random.default_rng(0)
+        rounded_up = 0
+        for _ in range(300):
+            coin = random_coin(rng)
+            state = random_state(Cycle(int(rng.integers(3, 40))), rng)
+            _, norm0, norm, _ = evolve._drift_trace(coin.matrix, state.amplitudes, 20, False)
+            report = verify_stationary(coin, state, 20)
+            assert report.leaked_norm >= 0.0
+            if norm > norm0:
+                rounded_up += 1
+                assert report.leaked_norm == 0.0
+                assert report.leaked_fraction == 0.0
+        assert rounded_up >= 100
+
     def test_leaked_norm_recorded(self):
         topo = Window(4)
         amps = np.zeros((topo.n_sites, 3), dtype=complex)

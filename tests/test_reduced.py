@@ -18,6 +18,7 @@ from qwstat import (
     fourier,
     grover,
     make_coin,
+    minors,
     random_coin,
     reduced_matrix,
     stefanak_eta,
@@ -64,6 +65,30 @@ class TestReducedMatrix:
         with pytest.raises(ZeroEntry) as exc:
             reduced_matrix(make_coin(np.eye(3)), 1)
         assert (exc.value.row, exc.value.col) == (1, 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entry_of_modulus_1e_12_is_in_scope(self, seed):
+        # a Haar coin turned in columns 2-3 until |a13| = 1e-12: entries count
+        # as zero only at or below 1e-14, so this coin is classified, not
+        # rejected as out of scope
+        a = random_coin(np.random.default_rng(seed)).matrix.copy()
+        r = math.hypot(abs(a[0, 1]), abs(a[0, 2]))
+
+        def first_row(u1, u2):  # the 2x2 unitary with first row (u1, u2)
+            return np.array([[u1, u2], [-np.conj(u2), np.conj(u1)]])
+
+        turn = first_row(a[0, 1] / r, a[0, 2] / r).conj().T @ first_row(
+            math.sqrt(1 - (1e-12 / r) ** 2), 1e-12 / r
+        )
+        a[:, 1:] = a[:, 1:] @ turn
+        coin = make_coin(a)
+        assert abs(coin.a13) == pytest.approx(1e-12, rel=1e-3)
+        reduced_matrix(coin, 1)
+        for classify in (type1_params, type2_params):
+            try:
+                classify(coin)
+            except QWalkError as exc:
+                assert not isinstance(exc, ZeroEntry)
 
     def test_central_reflection_rejected(self):
         # tiny rotations leave |a22| within 1e-10 of 1 while keeping
@@ -362,3 +387,57 @@ class TestOneTolerance:
         reduced_matrix(grover(), -(1 + 0.5 * RTOL))
         with pytest.raises(NonUnimodularLambda):
             reduced_matrix(grover(), -(1 + 2 * RTOL))
+
+
+def check_cofactor_identity(coin):
+    """For a unitary A, adj(A) = det(A) A*, so the minors are coin entries up
+    to one phase.  The two Type 1 candidates -C/a13 and -D/a31 then agree iff
+    |a13| = |a31|, at lambda = -det(A) conj(a31)/a13, and the two Type 2
+    candidates B/a11 and E/a33 iff |a11| = |a33|, at det(A) conj(a33)/a11.
+    Check both against the classifier, which computes the minors.  Return
+    the pair (Type 1, Type 2) of whether the candidates agreed."""
+    a = coin.matrix
+    det = np.linalg.det(a)
+    m = minors(coin)
+    conj = a.conj()
+    assert abs(m.C - det * conj[2, 0]) < 1e-13
+    assert abs(m.D - det * conj[0, 2]) < 1e-13
+    assert abs(m.B - det * conj[2, 2]) < 1e-13
+    assert abs(m.E - det * conj[0, 0]) < 1e-13
+
+    try:
+        lam1 = type1_params(coin).lam
+    except InconsistentLambda:
+        lam1 = None
+    assert (lam1 is not None) == (abs(abs(a[0, 2]) - abs(a[2, 0])) <= 1e-10)
+    if lam1 is not None:
+        assert abs(lam1 - -det * conj[2, 0] / a[0, 2]) < 1e-12
+
+    try:
+        lam2 = type2_params(coin).lam
+    except SquareConditionFailed as exc:  # the candidates agreed
+        lam2 = exc.lam
+    except InconsistentLambda:
+        lam2 = None
+    assert (lam2 is not None) == (abs(abs(a[0, 0]) - abs(a[2, 2])) <= 1e-10)
+    if lam2 is not None:
+        assert abs(lam2 - det * conj[2, 2] / a[0, 0]) < 1e-12
+    return lam1 is not None, lam2 is not None
+
+
+class TestCofactorIdentity:
+    """A second, minors-free route to the classification."""
+
+    @given(seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_haar_and_symmetric_coins(self, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        coin = symmetric_random_coin(rng) if symmetric else random_coin(rng)
+        type1, _ = check_cofactor_identity(coin)
+        assert type1 or not symmetric  # a13 = a31 for every symmetric coin
+
+    def test_family_grids(self):
+        outcomes = [check_cofactor_identity(coin) for coin in FAMILY_COINS]
+        assert all(type1 for type1, _ in outcomes)
+        # Fourier meets |a11| = |a33| and fails only the square condition
+        assert all(type2 for _, type2 in outcomes)

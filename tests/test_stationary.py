@@ -358,6 +358,13 @@ class TestClosedFormA1:
         with pytest.raises(TanSingularity):
             closed_form_measure_a1(math.pi / 2, 1.0, 0)
 
+    def test_cos_eta_of_1e_11_is_no_pole(self):
+        # |cos(eta)| counts as a pole only below 1e-12
+        eta = math.acos(1e-11)
+        assert math.cos(eta) == pytest.approx(1e-11, rel=1e-4)
+        for x in (0, 1, 7):
+            assert math.isfinite(closed_form_measure_a1(eta, 1.0, x))
+
 
 class TestClosedFormType2:
     def test_grover_unit_seeds(self):
@@ -687,6 +694,17 @@ class TestCycleRestriction:
                 else:
                     assert residual <= tol
                     assert eigen_residual(coin, state, params.lam) == residual
+
+    def test_seam_mismatch_against_32_eps_n(self):
+        # the bound on Cycle(1000) is 32 * 2**-52 * 1000 = 7.1e-12
+        coin = stefanak_eta(0.700378636604685)
+        with pytest.raises(NoCycleClosure) as info:
+            cycle_restriction(coin, type1_params(coin), 1.0, 0.0, 1000)
+        assert 1.42e-11 < info.value.mismatch < 1.44e-11  # 2.01 times the bound
+        coin = stefanak_eta(0.700378636604676)  # mismatch 0.49 times the bound
+        params = type1_params(coin)
+        state = cycle_restriction(coin, params, 1.0, 0.0, 1000)
+        assert 3e-12 < eigen_residual(coin, state, params.lam) < 4e-12
 
     def test_error(self):
         coin = fourier()
