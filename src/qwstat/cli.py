@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -296,10 +297,7 @@ def cmd_stationary(args) -> int:
         measure_to_csv(measure, buf, closed)
         payload = buf.getvalue()
     else:
-        doc = measure_to_json(measure)
-        if closed is not None:
-            doc["closed_form"] = {str(int(x)): float(c) for x, c in zip(measure.sites, closed)}
-        payload = _json_text(doc)
+        payload = _json_text(measure_to_json(measure, closed))
 
     if args.out is None:
         sys.stdout.write(payload)
@@ -320,17 +318,13 @@ def cmd_verify(args) -> int:
     state, params, _ = build_state(args, coin, topology)
     residual = eigen_residual(coin, state, params.lam)
     report = verify_stationary(coin, state, args.steps, tol=tol)
-    stationarity = report.as_dict()
-    stationarity["tol_source"] = tol_source
     doc = {
         "schema": SCHEMA_VERSION,
         "coin": args.coin,
         "lambda": [params.lam.real, params.lam.imag],
         "eigen_residual": float(residual),
-        "eigen_residual_site": residual.site,
-        "eigen_residual_relative": residual.relative,
-        "eigen_residual_relative_site": residual.relative_site,
-        "stationarity": stationarity,
+        **{f"eigen_residual_{name}": value for name, value in vars(residual).items()},
+        "stationarity": {"schema": SCHEMA_VERSION, **asdict(report), "tol_source": tol_source},
         "passed": report.passed,
     }
     sys.stdout.write(_json_text(doc))

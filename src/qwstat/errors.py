@@ -93,7 +93,7 @@ class SquareConditionFailed(QWalkError):
 
 
 class DegenerateSeeds(QWalkError):
-    """All seed amplitudes are zero; the construction would give the zero state."""
+    """The seeds are zero on every site the topology reads: the state would be zero."""
 
 
 class NoCycleClosure(QWalkError):

@@ -23,14 +23,13 @@ per block of steps, as many states as fit in ``BUDGET`` bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import CoinMatrix
 from .errors import WindowTooSmall
 from .reduced import _check_unimodular
-from .serialize import SCHEMA_VERSION
 from .state import Cycle, WaveState, Window
 from .tolerance import DRIFT_TOL, MIN_SCALE
 
@@ -156,10 +155,6 @@ class StationarityReport:
     tol: float
     scale: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        """The report's fields, plus the JSON schema, with ``interior`` a list."""
-        return {"schema": SCHEMA_VERSION, **asdict(self), "interior": list(self.interior)}
 
 
 def verify_stationary(

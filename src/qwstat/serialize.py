@@ -145,13 +145,17 @@ def state_from_json(obj) -> WaveState:
     return WaveState._adopt(topology, amps)
 
 
-def measure_to_json(measure: Measure) -> dict:
-    values = {str(int(x)): float(v) for x, v in zip(measure.sites, measure.values)}
-    return {
+def measure_to_json(measure: Measure, closed_form: np.ndarray | None = None) -> dict:
+    """The measure's ``values`` by site key (plus ``closed_form`` when supplied)."""
+    keys = [str(x) for x in measure.sites.tolist()]
+    doc = {
         "schema": SCHEMA_VERSION,
         "topology": topology_to_json(measure.topology),
-        "values": values,
+        "values": dict(zip(keys, measure.values.tolist())),
     }
+    if closed_form is not None:
+        doc["closed_form"] = dict(zip(keys, np.asarray(closed_form, dtype=np.float64).tolist()))
+    return doc
 
 
 def measure_to_csv(

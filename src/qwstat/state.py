@@ -138,9 +138,10 @@ class Measure:
 class Seeds:
     """Type 2 seeds: the left amplitudes at some sites, as two read-only arrays.
 
-    ``sites`` (int64, increasing, no site twice) and ``values`` (complex128),
-    the amplitude at each site.  Sites may be given in any order; a site
-    given twice, or one that does not fit in 64 bits, raises ValueError.
+    ``sites`` (int64, increasing, no site twice) and ``values`` (complex128,
+    finite), the amplitude at each site.  Sites may be given in any order; a
+    site given twice, one that does not fit in 64 bits, or a value that is
+    not finite raises ValueError.
     ``type2_state`` reads the arrays whole; to look sites up one at a time,
     build a dict from them.
     """
@@ -164,6 +165,8 @@ class Seeds:
             repeated = np.flatnonzero(s[1:] == s[:-1])
             if len(repeated):
                 raise ValueError(f"seed site {s[repeated[0]]} is given more than once")
+        if not np.isfinite(v).all():
+            raise ValueError("seed values must be finite")
         s.setflags(write=False)
         v.setflags(write=False)
         self.sites = s

@@ -73,8 +73,6 @@ def type1_state(
     phi3 = complex(phi3)
     if not (cmath.isfinite(phi1) and cmath.isfinite(phi3)):
         raise ValueError(f"seeds must be finite, got phi1={phi1!r}, phi3={phi3!r}")
-    if abs(phi1) + abs(phi3) == 0.0:
-        raise DegenerateSeeds("phi1 and phi3 are both zero")
 
     xs = topology.sites()
     k1, k2 = _momenta(params)
@@ -122,8 +120,8 @@ def type2_state(
     ``seeds`` maps sites to left amplitudes; absent sites read as zero.  On
     a window -W..W the value at -W-1 is also consulted (the right amplitude
     lags by one site); on a cycle of N sites only keys 0..N-1 are read and
-    the lag wraps.  Every seed value must be finite.  A :class:`Seeds` is
-    read as it is; any other mapping is first copied into one.
+    the lag wraps.  A :class:`Seeds` is read as it is; any other mapping is
+    first copied into one, which requires every value to be finite.
     """
     if params.walk_type is not WalkType.TYPE2:
         raise TypeMismatch(f"expected Type 2 parameters, got {params.walk_type}")
@@ -131,8 +129,6 @@ def type2_state(
     if not isinstance(seeds, Seeds):
         seeds = Seeds(list(seeds.keys()), list(seeds.values()))
     keys, values = seeds.sites, seeds.values
-    if not np.isfinite(values).all():
-        raise ValueError("seed values must be finite")
 
     # N + 1 slots; slot 0 holds the site before the first: -W-1 on a window,
     # and a copy of site N-1 on a cycle, which reads only keys 0..N-1
@@ -144,8 +140,6 @@ def type2_state(
     padded[slot[inside]] = values[inside]
     if on_cycle:
         padded[0] = padded[n]  # overwrites key -1
-    if not padded.any():
-        raise DegenerateSeeds("seed sequence is identically zero on the topology")
     phi, phi_prev = padded[1:], padded[:-1]
     return _eigenstate(coin, params.lam, topology, phi, (params.lam / params.a_tilde_1) * phi_prev)
 
@@ -154,9 +148,10 @@ def _eigenstate(
     coin: CoinMatrix, lam: complex, topology: Topology, left: np.ndarray, right: np.ndarray
 ) -> WaveState:
     """The eigenstate with these left and right channels and the stay channel
-    they determine (see the module docstring), if every site's squared
-    modulus is finite.  For classified coins 1/(lam - a22) equals
-    -a13/(a12 a23) (Type 1) and -a11/(a12 a21) (Type 2) identically.
+    they determine (see the module docstring), if it is not zero
+    (DegenerateSeeds) and every site's squared modulus is finite.  For
+    classified coins 1/(lam - a22) equals -a13/(a12 a23) (Type 1) and
+    -a11/(a12 a21) (Type 2) identically.
 
     Finite seeds can still give a measure that overflows (|1e200|^2) or, for
     a nonzero state, underflows below MIN_SCALE (|1e-170|^2); no measure,
@@ -175,7 +170,9 @@ def _eigenstate(
         raise ValueError(
             f"seeds too large: the squared modulus of the state overflows at site {site}"
         )
-    if mu.max(initial=0.0) < MIN_SCALE and parts.any():
+    if mu.max(initial=0.0) < MIN_SCALE:
+        if not parts.any():
+            raise DegenerateSeeds("the seeds give the zero state on this topology")
         raise ValueError("seeds too small: the largest squared modulus of the state underflows")
     return state
 

@@ -498,6 +498,24 @@ class TestVerify:
         assert 0.0 <= doc["eigen_residual_relative"] < 1e-13
         assert isinstance(doc["eigen_residual_relative_site"], int)
 
+    def test_document_keys(self, capsys):
+        # the keys are EigenResidual's attributes and StationarityReport's
+        # fields, so a field added to either changes these sets
+        argv = ["verify", "--coin", "grover", "--type", "1", "--topology", "window:8", "--steps", "3"]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {
+            "schema", "coin", "lambda", "passed", "stationarity", "eigen_residual",
+            "eigen_residual_site", "eigen_residual_relative", "eigen_residual_relative_site",
+        }
+        stationarity = doc["stationarity"]
+        assert set(stationarity) == {
+            "schema", "steps", "max_measure_drift", "worst_step", "interior", "leaked_norm",
+            "leaked_fraction", "tol", "scale", "passed", "tol_source",
+        }
+        assert stationarity["schema"] == 1 and stationarity["interior"] == [-5, 5]
+        assert 1 <= stationarity["worst_step"] <= 3
+
     def test_window_too_small_is_input_error(self, capsys):
         code = main(
             [
@@ -710,12 +728,13 @@ class TestMisc:
         assert usage.startswith("usage: qwstat")
         assert error.startswith(message) and error.endswith("\n")
 
-    def test_degenerate_seed_input(self):
+    def test_degenerate_seed_input(self, capsys):
         code = main(
             ["stationary", "--coin", "grover", "--type", "1",
              "--phi1", "0", "--phi3", "0"]
         )
         assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: the seeds give the zero state on this topology\n"
 
     @pytest.mark.parametrize(
         "kind, doc",

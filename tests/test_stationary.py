@@ -102,7 +102,7 @@ class TestType1State:
 
     def test_degenerate_seeds(self):
         coin = grover()
-        with pytest.raises(DegenerateSeeds):
+        with pytest.raises(DegenerateSeeds, match="^the seeds give the zero state on this topology$"):
             type1_state(coin, type1_params(coin), 0, 0, Cycle(5))
 
     def test_type_mismatch(self):
@@ -226,8 +226,9 @@ class TestType2State:
             type2_state(coin, p, {}, Cycle(5))
         with pytest.raises(DegenerateSeeds):
             type2_state(coin, p, {0: 0.0, 1: 0.0}, Cycle(5))
-        # a cycle reads only keys 0..N-1, so neither its site -1 nor N counts
-        with pytest.raises(DegenerateSeeds):
+        # a cycle reads only keys 0..N-1, so neither its site -1 nor N counts;
+        # the message is Type 1's, as one check serves both
+        with pytest.raises(DegenerateSeeds, match="^the seeds give the zero state on this topology$"):
             type2_state(coin, p, {-1: 1.0, 5: 1.0}, Cycle(5))
         # while a window reads -W-1, as the right amplitude of site -W
         state = type2_state(coin, p, {-4: 1.0}, Window(3))
