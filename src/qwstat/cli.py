@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 classification failure (inconsistent or
 non-unimodular eigenvalue), 3 stationarity drift above tolerance, 4 input,
-config or command-line error, 5 square-condition failure (Type 2 only).
+config or command-line error or an allocation the machine cannot make,
+5 square-condition failure (Type 2 only).
 """
 
 from __future__ import annotations
@@ -209,12 +210,31 @@ def resolve_tol(explicit: float | None) -> tuple[float, str]:
     return tol, source
 
 
+def _reject_ignored_options(args) -> None:
+    """Raise a UsageError naming the first option on the command line that
+    the run would not read, so that it is not taken for one that counts."""
+    given = {name for name, value in vars(args).items() if value is not None}
+    for name, (_make, option) in _builtin_coins().items():
+        if option in given:
+            if args.command == "sweep":
+                raise UsageError(f"sweep sets {option} from its grid or values; drop --{option}")
+            if args.coin != name:
+                raise UsageError(f"--{option} is read only with --coin {name}")
+    for option in {1: ("seeds",), 2: ("phi1", "phi3")}.get(getattr(args, "type", None), ()):
+        if option in given:
+            raise UsageError(f"--{option} is not read with --type {args.type}")
+    if {"grid", "values"} <= given:
+        raise UsageError("--grid is not read beside --values; give one of them")
+
+
 def build_state(args, coin: CoinMatrix, topology: Topology):
     """The requested eigenstate, its params and the seeds parsed for it:
     (phi1, phi3) for Type 1, the Seeds for Type 2."""
     if args.type == 1:
         params = type1_params(coin)
-        seeds = parse_complex(args.phi1), parse_complex(args.phi3)
+        phi1 = DEFAULTS["phi1"] if args.phi1 is None else args.phi1
+        phi3 = DEFAULTS["phi3"] if args.phi3 is None else args.phi3
+        seeds = parse_complex(phi1), parse_complex(phi3)
         return type1_state(coin, params, *seeds, topology), params, seeds
     params = type2_params(coin)
     if args.seeds is None:
@@ -430,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     state_p = argparse.ArgumentParser(add_help=False)
     state_p.add_argument("--type", type=int, choices=(1, 2), required=True)
-    state_p.add_argument("--phi1", default=DEFAULTS["phi1"], help="type 1 seed (a+bi, w, w2)")
-    state_p.add_argument("--phi3", default=DEFAULTS["phi3"], help="type 1 seed (a+bi, w, w2)")
+    state_p.add_argument("--phi1", help="type 1 seed (a+bi, w, w2)")
+    state_p.add_argument("--phi3", help="type 1 seed (a+bi, w, w2)")
     state_p.add_argument(
         "--seeds",
         help="type 2 seeds file, JSON {\"values\": {\"site\": [re, im]}}; "
@@ -490,8 +510,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     try:
         args = build_parser().parse_args(argv)
+        _reject_ignored_options(args)
         return args.fn(args)
-    except (UsageError, QWalkError, ValueError, OSError) as exc:
+    except (UsageError, QWalkError, ValueError, OSError, MemoryError) as exc:
         code = _exit_code(exc)
         label = "error" if code == EXIT_INPUT else "classification failed"
         print(f"{label}: {exc}", file=sys.stderr)

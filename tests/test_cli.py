@@ -705,6 +705,57 @@ class TestMisc:
         assert captured.err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--coin", "grover", "--type", "1", "--seeds", "/nonexistent.json",
+              "--topology", "cycle:12"], "--seeds"),
+            (["verify", "--coin", "grover", "--type", "2", "--phi1", "5", "--topology", "cycle:12"],
+             "--phi1"),
+            (["stationary", "--coin", "grover", "--type", "2", "--phi3", "1"], "--phi3"),
+            (["classify", "--coin", "grover", "--eta", "0.3"], "--eta"),
+            (["stationary", "--coin", "stefanak-eta", "--eta", "0.3", "--rho", "0.4",
+              "--type", "1"], "--rho"),
+            (["classify", "--coin", "custom:/nonexistent.json", "--rho", "0.4"], "--rho"),
+            (["sweep", "--coin", "stefanak-rho", "--rho", "0.9", "--type", "2", "--values", "0.5"],
+             "--rho"),
+            (["sweep", "--coin", "stefanak-rho", "--type", "2", "--grid", "0.2:0.8:3",
+              "--values", "0.5"], "--grid"),
+        ],
+    )
+    def test_ignored_option_is_rejected(self, tmp_path, capsys, argv, option):
+        # an option the run would not read fails closed, before any file is read or written
+        outdir = tmp_path / "sweep"
+        if argv[0] == "sweep":
+            argv = [*argv, "--outdir", str(outdir)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert option in captured.err
+        assert not outdir.exists()
+
+    def test_type1_seeds_default_to_the_documented_values(self, capsys):
+        defaults = cli.DEFAULTS
+        outputs = []
+        for seeds in ([], ["--phi1", defaults["phi1"], "--phi3", defaults["phi3"]]):
+            assert main(["stationary", "--coin", "grover", "--type", "1", *seeds]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_an_allocation_the_machine_cannot_make_is_an_input_error(self, monkeypatch, capsys):
+        # numpy raises a MemoryError subclass, such as for --steps 100000000000
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,)"
+
+        def cannot_allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "verify_stationary", cannot_allocate)
+        assert main(["verify", "--coin", "grover", "--type", "1", "--topology", "cycle:12"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["verify", "--coin", "grover", "--type", "1", "--steps", "abc"],

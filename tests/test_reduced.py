@@ -364,6 +364,26 @@ class TestPaperFormulas:
         assert guarded >= 10
 
 
+    @pytest.mark.parametrize("t", [2, 2j])
+    def test_unimodular_check_fires_where_the_candidates_agree(self, t):
+        # A rotation with a phase, turned by I + 1e-13 i H (H is 1 off the
+        # diagonal), then a23 and a32 moved so that both Type 1 candidates
+        # -C/a13 and -D/a31 equal t.  The coin is unitary to 3.1e-13, within
+        # UNITARITY_TOL, but its smallest entry is 1e-13, so the cofactor
+        # identity that keeps agreeing candidates on the unit circle is off by
+        # about UNITARITY_TOL / |entry|: only the modulus check rejects it.
+        b = np.array([[0.6, 0.8, 0], [-0.8, 0.6, 0], [0, 0, cmath.exp(0.3j)]])
+        a = b @ (np.eye(3) + 1e-13j * (1 - np.eye(3)))
+        a[1, 2] += (-t * a[0, 2] - (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1])) / a[0, 1]
+        a[2, 1] += (-t * a[2, 0] - (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])) / a[1, 0]
+        coin = make_coin(a)
+        assert coin.unitarity_deviation() < 3.2e-13
+        assert np.abs(a).min() == pytest.approx(1e-13) and abs(a[1, 1]) == pytest.approx(0.6)
+        with pytest.raises(NonUnimodularLambda) as exc:
+            type1_params(coin)
+        assert exc.value.lam == pytest.approx(t, abs=1e-12)
+
+
 class TestOneTolerance:
     """Coins are validated at UNITARITY_TOL and classified at RTOL, with no
     per-call override."""
@@ -435,6 +455,18 @@ class TestCofactorIdentity:
         coin = symmetric_random_coin(rng) if symmetric else random_coin(rng)
         type1, _ = check_cofactor_identity(coin)
         assert type1 or not symmetric  # a13 = a31 for every symmetric coin
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_phase_relabelled_symmetric_coins(self, seed):
+        # diag(e^{i alpha}) V V^T diag(e^{i beta}) is not symmetric, but keeps
+        # |a13| = |a31|, so every one is Type 1
+        rng = np.random.default_rng(seed)
+        v = random_coin(rng).matrix
+        alpha, beta = rng.uniform(0, 2 * np.pi, (2, 3))
+        coin = make_coin(np.exp(1j * alpha)[:, None] * (v @ v.T) * np.exp(1j * beta)[None, :])
+        type1, _ = check_cofactor_identity(coin)
+        assert type1
 
     def test_family_grids(self):
         outcomes = [check_cofactor_identity(coin) for coin in FAMILY_COINS]
