@@ -149,7 +149,7 @@ def _eigenstate(
 ) -> WaveState:
     """The eigenstate with these left and right channels and the stay channel
     they determine (see the module docstring), if it is not zero
-    (DegenerateSeeds) and every site's squared modulus is finite.  For
+    (DegenerateSeeds) and every weight measure_of writes is finite.  For
     classified coins 1/(lam - a22) equals -a13/(a12 a23) (Type 1) and
     -a11/(a12 a21) (Type 2) identically.
 
@@ -161,9 +161,8 @@ def _eigenstate(
     """
     stay = 1.0 / (lam - coin.a22) * (coin.a21 * left + coin.a23 * right)
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
-    parts = state.amplitudes.view(np.float64)  # re and im of each channel
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.einsum("ij,ij->i", parts, parts)
+        mu = measure_of(state).values
     finite = np.isfinite(mu)
     if not finite.all():
         site = topology.sites()[np.argmin(finite)]
@@ -171,15 +170,16 @@ def _eigenstate(
             f"seeds too large: the squared modulus of the state overflows at site {site}"
         )
     if mu.max(initial=0.0) < MIN_SCALE:
-        if not parts.any():
+        if not state.amplitudes.any():
             raise DegenerateSeeds("the seeds give the zero state on this topology")
         raise ValueError("seeds too small: the largest squared modulus of the state underflows")
     return state
 
 
 def measure_of(state: WaveState) -> Measure:
-    """Sitewise squared norm of the state."""
-    return Measure(state.topology, (np.abs(state.amplitudes) ** 2).sum(axis=1))
+    """Sitewise squared norm of the state: re^2 + im^2 summed channel by
+    channel, the order of verify's kernel, which gets the same bits."""
+    return Measure(state.topology, np.square(state.amplitudes.view(np.float64)).sum(axis=1))
 
 
 def closed_form_measure_a1(eta: float, phi1: complex, x: int) -> float:
