@@ -142,8 +142,9 @@ class StationarityReport:
     initial squared norm (0 for a zero state, NaN if either is NaN), which
     does not grow with the seeds.  ``max_measure_drift`` is absolute;
     ``tol`` is relative to ``scale``, the largest weight max(mu_0) over all
-    sites at step 0, and the check passed iff the scale is finite (and normal
-    for a nonzero state) and the drift is at most tol * scale.
+    sites at step 0, and the check passed iff the scale and the initial
+    squared norm are finite, the scale is normal for a nonzero state, and
+    the drift is at most tol * scale.
     """
 
     steps: int
@@ -167,7 +168,8 @@ def verify_stationary(
 
     The check passes iff the drift is at most ``tol * max(mu_0)``, so its
     answer does not depend on the scale of the seeds.  A zero state must not
-    drift at all; a NaN, infinite or underflowed max(mu_0) always fails.
+    drift at all; a NaN, infinite or underflowed max(mu_0), or an infinite
+    squared norm, always fails.
 
     On a window the comparison at step k is restricted to sites
     -W+k..W-k, the region boundary truncation cannot have reached, and
@@ -197,8 +199,9 @@ def verify_stationary(
         leaked_fraction=leaked / norm0 if norm0 else leaked,  # a zero state leaks 0
         tol=tol,
         scale=scale,
-        # an overflowed state would pass inf <= inf, an underflowed one 0 <= 0
-        passed=math.isfinite(scale) and drift <= tol * scale
+        # an overflowed state would pass inf <= inf, an underflowed one 0 <= 0,
+        # and one whose squared norm overflows reports NaN leaks
+        passed=math.isfinite(scale) and math.isfinite(norm0) and drift <= tol * scale
         and (scale >= MIN_SCALE or not state.amplitudes.any()),
     )
 

@@ -153,8 +153,9 @@ def _eigenstate(
     classified coins 1/(lam - a22) equals -a13/(a12 a23) (Type 1) and
     -a11/(a12 a21) (Type 2) identically.
 
-    Finite seeds can still give a measure that overflows (|1e200|^2) or, for
-    a nonzero state, underflows below MIN_SCALE (|1e-170|^2); no measure,
+    Finite seeds can still give a measure that overflows (|1e200|^2), finite
+    weights whose sum, the squared norm, overflows, or, for a nonzero state,
+    a measure that underflows below MIN_SCALE (|1e-170|^2); no measure,
     drift or residual of such a state means anything, so it is an input
     error here rather than a CSV of inf, a NaN drift or a drift check passed
     on zeros later.
@@ -163,12 +164,15 @@ def _eigenstate(
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
         mu = measure_of(state).values
+        norm = mu.sum()
     finite = np.isfinite(mu)
     if not finite.all():
         site = topology.sites()[np.argmin(finite)]
         raise ValueError(
             f"seeds too large: the squared modulus of the state overflows at site {site}"
         )
+    if not np.isfinite(norm):
+        raise ValueError("seeds too large: the squared norm of the state overflows")
     if mu.max(initial=0.0) < MIN_SCALE:
         if not state.amplitudes.any():
             raise DegenerateSeeds("the seeds give the zero state on this topology")

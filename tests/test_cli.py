@@ -469,6 +469,32 @@ class TestVerify:
             "error: seeds too small: the largest squared modulus of the state underflows\n"
         )
 
+    @pytest.mark.parametrize("command", ["stationary", "verify"])
+    def test_a_squared_norm_that_overflows_is_an_input_error(self, capsys, command):
+        # every weight is the finite 1.7976931348623153e308: stationary used
+        # to write them with exit 0, verify to fail only in the JSON emitter
+        code = main(
+            [command, "--coin", "grover", "--type", "1",
+             "--phi1=9.02522829131669e+153-2.9034309071738925e+153i", "--phi3", "0",
+             "--topology", "cycle:3"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seeds too large: the squared norm of the state overflows\n"
+
+    def test_weights_near_the_smallest_normal_are_written_normal(self, capsys):
+        # these seeds passed the fence, and every weight was then written as
+        # the subnormal 2.225073858507201e-308
+        code = main(
+            ["stationary", "--coin", "grover", "--type", "1",
+             "--phi1=1.0332346718761602e-154-2.1204490582554513e-155i", "--phi3", "0",
+             "--topology", "cycle:3"]
+        )
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert max(float(row.split(",")[1]) for row in rows) >= 2.2250738585072014e-308
+
     def test_eigen_residual_site_is_at_the_seam(self, capsys):
         # the Fourier Type 1 left mover has period 3, so it does not close on
         # a 10-cycle: site 9 reads site 0 where the line would have site 10

@@ -548,7 +548,7 @@ class TestRelativeDrift:
         n_steps = 12
         report = verify_stationary(coin, state, n_steps)
         assert report.passed, report
-        assert report.scale == pytest.approx(measure_of(state).values.max(), rel=1e-14)
+        assert report.scale == measure_of(state).values.max()
         # one amplitude, the largest at the middle site, moved by 1e-3 of
         # its modulus in a random direction
         amps = state.amplitudes.copy()
@@ -624,6 +624,18 @@ class TestRelativeDrift:
         amps[5] *= 1 + 1e-8
         report = verify_stationary(coin, WaveState(Cycle(12), amps), 50)
         assert report.max_measure_drift / report.scale == pytest.approx(2.8e-8, rel=0.01)
+        assert report.passed is False
+
+    def test_a_squared_norm_that_overflows_fails(self):
+        # each weight 1.28e308 is finite and the eigenstate does not drift,
+        # but the squared norm is inf, so the leaks are NaN
+        coin = grover()
+        unit = type1_state(coin, type1_params(coin), 1, 0, Cycle(3)).amplitudes
+        state = WaveState(Cycle(3), 0.8e154 * unit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_stationary(coin, state, 5)
+        assert np.isfinite(report.scale) and report.max_measure_drift <= report.tol * report.scale
+        assert np.isnan(report.leaked_norm)
         assert report.passed is False
 
     def test_scale_is_the_largest_initial_weight(self):
@@ -707,6 +719,23 @@ class TestRing:
         # real and imaginary parts live in rows of their own, each with its
         # own ghost cells: a NaN in one imaginary part still spoils every step
         self.check_nan(topology, n_steps, site, channel, complex(0.5, np.nan))
+
+    @given(
+        size=st.sampled_from([3, 4, 7, 30, 200, -2, -5, -40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scale_and_norm_are_those_of_measure_of(self, size, seed):
+        # weights of each channel anywhere from 1e-300 to 1e300: the kernel's
+        # step-0 measure is measure_of's, bit for bit, not merely close
+        rng = np.random.default_rng(seed)
+        topology = Cycle(size) if size > 0 else Window(-size)
+        moduli = 10.0 ** rng.uniform(-150, 150, size=(topology.n_sites, 3))
+        state = WaveState(topology, moduli * np.exp(2j * np.pi * rng.uniform(size=moduli.shape)))
+        windowed = isinstance(topology, Window)
+        _, norm0, _, scale = evolve._drift_trace(random_coin(rng).matrix, state.amplitudes, 1, windowed)
+        mu = measure_of(state).values
+        assert (scale, norm0) == (mu.max(), mu.sum())
 
     def test_window_edges_of_a_reused_slot_stay_zero(self):
         # on a window the matmul never writes left at the last site or right

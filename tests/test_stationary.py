@@ -302,6 +302,73 @@ class TestType2State:
         assert stay_consistency(coin, p, state) < 1e-12
 
 
+# Grover Type 1 seeds (phi3 = 0) whose weights on a 3-cycle sit at the two
+# ends of the float range
+OVERFLOW_PHI1 = complex(9.02522829131669e153, -2.9034309071738925e153)
+UNDERFLOW_PHI1 = complex(1.0332346718761602e-154, -2.1204490582554513e-155)
+
+# seeds whose squared moduli lie near the largest double or the smallest
+# normal one
+edge_seeds = st.builds(
+    cmath.rect,
+    st.one_of(st.floats(-155.5, -152.5), st.floats(152.5, 155.5)).map(lambda e: 10.0**e),
+    st.floats(0, 2 * math.pi),
+)
+
+
+class TestWeightFences:
+    """The weights a built state is checked on are the ones measure_of writes."""
+
+    def test_a_squared_norm_that_overflows_is_rejected(self):
+        # every weight is the finite 1.7976931348623153e308, their sum is inf
+        coin = grover()
+        with pytest.raises(
+            ValueError, match="^seeds too large: the squared norm of the state overflows$"
+        ):
+            type1_state(coin, type1_params(coin), OVERFLOW_PHI1, 0, Cycle(3))
+
+    def test_weights_near_the_smallest_normal_stay_normal(self):
+        # the fence used to pass weights that measure_of wrote as the
+        # subnormal 2.225073858507201e-308
+        coin = grover()
+        state = type1_state(coin, type1_params(coin), UNDERFLOW_PHI1, 0, Cycle(3))
+        assert measure_of(state).values.max() >= 2.2250738585072014e-308
+
+    @given(
+        kind=st.sampled_from(["grover", "fourier", "stefanak-eta", "stefanak-rho"]),
+        param=st.floats(0.1, 0.9),
+        walk_type=st.sampled_from([1, 2]),
+        seeds=st.lists(edge_seeds, min_size=1, max_size=6),
+        topology=st.one_of(st.integers(3, 12).map(Cycle), st.integers(1, 6).map(Window)),
+    )
+    @example(kind="grover", param=0.5, walk_type=1, seeds=[OVERFLOW_PHI1], topology=Cycle(3))
+    @example(kind="grover", param=0.5, walk_type=1, seeds=[UNDERFLOW_PHI1], topology=Cycle(3))
+    @settings(max_examples=150, deadline=None)
+    def test_a_built_state_has_finite_normal_weights(self, kind, param, walk_type, seeds, topology):
+        coin = {
+            "grover": grover,
+            "fourier": fourier,
+            "stefanak-eta": lambda: stefanak_eta(param),
+            "stefanak-rho": lambda: stefanak_rho(param),
+        }[kind]()
+        if walk_type == 1:
+            phi3 = seeds[1] if len(seeds) > 1 else 0
+            build = lambda: type1_state(coin, type1_params(coin), seeds[0], phi3, topology)
+        else:
+            assume(kind != "fourier")  # Fourier has no Type 2 state
+            build = lambda: type2_state(coin, type2_params(coin), dict(enumerate(seeds)), topology)
+        try:
+            state = build()
+        except ValueError as exc:
+            assert str(exc).startswith(("seeds too large: ", "seeds too small: "))
+            return
+        mu = measure_of(state).values
+        with np.errstate(over="ignore"):
+            norm = mu.sum()
+        assert np.isfinite(mu).all() and np.isfinite(norm)
+        assert mu.max() >= 2.0**-1022
+
+
 class TestMeasures:
     def test_singleton_state(self):
         topo = Window(4)
