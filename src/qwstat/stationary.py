@@ -181,8 +181,9 @@ def _eigenstate(
 
 
 def measure_of(state: WaveState) -> Measure:
-    """Sitewise squared norm of the state: re^2 + im^2 summed channel by
-    channel, the order of verify's kernel, which gets the same bits."""
+    """Sitewise squared norm of the state: re^2 + im^2 of each channel,
+    summed in the order verify's kernel sums them, so that they agree bit
+    for bit."""
     return Measure(state.topology, np.square(state.amplitudes.view(np.float64)).sum(axis=1))
 
 
