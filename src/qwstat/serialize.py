@@ -2,7 +2,7 @@
 
 Conventions: complex numbers are [re, im] pairs; every emitted JSON document
 carries ``"schema": 1``; CSV uses LF line endings and repr formatting, which
-round-trips doubles exactly.
+round-trips doubles exactly.  States and measures are written, not read.
 """
 
 from __future__ import annotations
@@ -14,16 +14,14 @@ import numpy as np
 
 from .coin import CoinMatrix, make_coin
 from .reduced import ReducedParams
-from .state import Cycle, Measure, Seeds, Topology, WaveState, Window
+from .state import Cycle, Measure, Seeds, Topology, WaveState
 
 __all__ = [
     "SCHEMA_VERSION",
     "coin_to_json",
     "coin_from_json",
     "topology_to_json",
-    "topology_from_json",
     "state_to_json",
-    "state_from_json",
     "measure_to_json",
     "measure_to_csv",
     "seeds_from_json",
@@ -92,18 +90,6 @@ def topology_to_json(topology: Topology) -> dict:
     return {"kind": "window", "half_width": topology.half_width}
 
 
-def topology_from_json(obj) -> Topology:
-    """Read a topology; its size must be a JSON integer, not a boolean."""
-    kind = obj["kind"]
-    if kind not in ("cycle", "window"):
-        raise ValueError(f"unknown topology kind {kind!r}")
-    key = "n" if kind == "cycle" else "half_width"
-    size = obj[key]
-    if type(size) is not int:
-        raise ValueError(f"{kind} {key} must be an integer, got {size!r}")
-    return Cycle(size) if kind == "cycle" else Window(size)
-
-
 def state_to_json(state: WaveState) -> dict:
     amplitudes = {
         str(int(x)): [_pair(c) for c in state.amplitudes[i]]
@@ -114,35 +100,6 @@ def state_to_json(state: WaveState) -> dict:
         "topology": topology_to_json(state.topology),
         "amplitudes": amplitudes,
     }
-
-
-def state_from_json(obj) -> WaveState:
-    """Read a state; each listed site holds exactly three [re, im] pairs, the
-    left, stay and right amplitudes, and sites not listed are zero.
-
-    Every key must be an integer in ASCII digits that names a site of the
-    topology, without wrapping on a cycle, and no site may be named twice
-    ("1" and "01" are one site).
-    """
-    topology = topology_from_json(obj["topology"])
-    sites = topology.sites()
-    first, last = int(sites[0]), int(sites[-1])
-    amps = np.zeros((topology.n_sites, 3), dtype=np.complex128)
-    filled = set()
-    amplitudes = obj["amplitudes"]
-    for x, (key, triple) in zip(_sites_of_keys(amplitudes).tolist(), amplitudes.items()):
-        channels = _complex_array(triple, "amplitude")
-        if len(channels) != 3:
-            raise ValueError(
-                f"site {key} must hold three [re, im] pairs, one per channel, got {len(channels)}"
-            )
-        if not first <= x <= last:
-            raise ValueError(f"site {key} is not a site of {topology} ({first}..{last})")
-        if x in filled:
-            raise ValueError(f"state site {x} is given more than once")
-        filled.add(x)
-        amps[topology.index_of(x)] = channels
-    return WaveState._adopt(topology, amps)
 
 
 def measure_to_json(measure: Measure, closed_form: np.ndarray | None = None) -> dict:

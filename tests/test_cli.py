@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwstat import cli, fourier, grover, make_coin, measure_of
+from qwstat import cli, fourier, grover, make_coin, measure_of, type1_params, type1_state
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -21,8 +21,8 @@ from qwstat.cli import (
     parse_complex,
     parse_topology,
 )
-from qwstat.serialize import coin_to_json, state_from_json
-from qwstat.state import Cycle, Window
+from qwstat.serialize import coin_to_json
+from qwstat.state import Cycle, WaveState, Window
 from qwstat.tolerance import DRIFT_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -237,11 +237,17 @@ class TestStationary:
             ]
         )
         assert code == EXIT_OK
-        state = state_from_json(json.loads(state_out.read_text()))
+        doc = json.loads(state_out.read_text())
+        assert doc["topology"] == {"kind": "cycle", "n": 9}
+        coin = fourier()
+        want = type1_state(coin, type1_params(coin), 0.3 + 0.7j, parse_complex("w"), Cycle(9))
+        assert list(doc["amplitudes"]) == [str(x) for x in range(9)]
+        pairs = np.array(list(doc["amplitudes"].values()), dtype=np.float64)
+        assert pairs.shape == (9, 3, 2) and pairs.tobytes() == want.amplitudes.tobytes()
+        exported = WaveState(Cycle(9), pairs.view(np.complex128).reshape(9, 3))
         mu_doc = json.loads(out.read_text())
-        recomputed = measure_of(state)
-        for key, value in mu_doc["values"].items():
-            assert recomputed.value(int(key)) == value  # bit for bit
+        # the weights written are those of the exported amplitudes, bit for bit
+        assert list(mu_doc["values"].values()) == measure_of(exported).values.tolist()
 
     def test_json_carries_the_closed_form_column(self, capsys):
         argv = ["stationary", "--coin", "stefanak-rho", "--rho", "0.4", "--type", "2",

@@ -16,7 +16,6 @@ from qwstat import (
     Window,
     fourier,
     grover,
-    measure_of,
     stefanak_rho,
     type1_params,
     type1_state,
@@ -29,9 +28,7 @@ from qwstat.serialize import (
     measure_to_csv,
     reduced_params_to_json,
     seeds_from_json,
-    state_from_json,
     state_to_json,
-    topology_from_json,
     topology_to_json,
 )
 from qwstat.tolerance import MIN_SCALE
@@ -57,90 +54,40 @@ def test_coin_from_json_validates():
         coin_from_json(doc)
 
 
-@pytest.mark.parametrize("topology", [Cycle(7), Window(12)])
+TOPOLOGY_DOCS = {
+    Cycle(7): {"kind": "cycle", "n": 7},
+    Window(12): {"kind": "window", "half_width": 12},
+}
+
+
+@pytest.mark.parametrize("topology", list(TOPOLOGY_DOCS))
 def test_topology_round_trip(topology):
-    assert topology_from_json(topology_to_json(topology)) == topology
+    assert json.loads(json.dumps(topology_to_json(topology))) == TOPOLOGY_DOCS[topology]
 
 
-def test_topology_unknown_kind():
-    with pytest.raises(ValueError):
-        topology_from_json({"kind": "torus", "n": 4})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"kind": "cycle", "n": "3"},
-        {"kind": "cycle", "n": 3.7},
-        {"kind": "cycle", "n": 3.0},
-        {"kind": "cycle", "n": True},
-        {"kind": "window", "half_width": "4"},
-        {"kind": "window", "half_width": None},
-    ],
-)
-def test_topology_size_must_be_a_json_integer(doc):
-    # "3" and 3.7 used to load as Cycle(3)
-    with pytest.raises(ValueError, match="must be an integer"):
-        topology_from_json(doc)
+def assert_pairs_are_the_amplitudes(doc, state):
+    """Every site of the state is listed once, in order, by its label, with its
+    left, stay and right amplitudes as three [re, im] pairs, bit for bit."""
+    assert list(doc["amplitudes"]) == [str(x) for x in state.sites.tolist()]
+    pairs = np.array(list(doc["amplitudes"].values()), dtype=np.float64)
+    assert pairs.shape == (state.topology.n_sites, 3, 2)
+    assert pairs.tobytes() == state.amplitudes.tobytes()
 
 
 def test_state_round_trip_preserves_measure_exactly():
     coin = fourier()
     state = type1_state(coin, type1_params(coin), 0.3 + 0.7j, -0.2j, Cycle(9))
     doc = json.loads(json.dumps(state_to_json(state)))
-    back = state_from_json(doc)
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-    assert np.array_equal(measure_of(back).values, measure_of(state).values)
+    assert doc["schema"] == 1 and doc["topology"] == {"kind": "cycle", "n": 9}
+    assert_pairs_are_the_amplitudes(doc, state)
 
 
 def test_state_round_trip_on_window():
     coin = grover()
     state = type1_state(coin, type1_params(coin), 1.0, 2.0, Window(5))
-    back = state_from_json(state_to_json(state))
-    assert back.topology == state.topology
-    assert np.array_equal(back.amplitudes, state.amplitudes)
-
-
-@pytest.mark.parametrize("entry", [["0.5", "0"], [True, False], [None, 0.0], [0.5], 0.5])
-def test_state_from_json_reads_only_pairs_of_numbers(entry):
-    coin = grover()
-    state = type1_state(coin, type1_params(coin), 1.0, 0.5, Cycle(4))
     doc = json.loads(json.dumps(state_to_json(state)))
-    doc["amplitudes"]["2"][1] = entry
-    with pytest.raises(ValueError, match=r"\[re, im\] of two numbers"):
-        state_from_json(doc)
-
-
-@pytest.mark.parametrize("pairs", [1, 2, 4])
-def test_state_from_json_needs_one_pair_per_channel(pairs):
-    # a single pair used to be broadcast to all three channels
-    doc = {"topology": {"kind": "cycle", "n": 3}, "amplitudes": {"0": [[1.0, 2.0]] * pairs}}
-    with pytest.raises(ValueError, match=rf"site 0 must hold three \[re, im\] pairs.*got {pairs}"):
-        state_from_json(doc)
-
-
-@pytest.mark.parametrize(
-    "topology, sites",
-    [(Cycle(3), ["3"]), (Cycle(3), ["-1"]), (Cycle(3), ["0", "3"]), (Window(2), ["3"])],
-)
-def test_state_from_json_rejects_sites_off_the_topology(topology, sites):
-    # a cycle used to wrap "3" onto site 0 and "-1" onto site 2
-    doc = {
-        "topology": topology_to_json(topology),
-        "amplitudes": {key: [[1.0, 0.0]] * 3 for key in sites},
-    }
-    with pytest.raises(ValueError, match=f"site {sites[-1]} is not a site of"):
-        state_from_json(doc)
-
-
-def test_state_from_json_rejects_a_site_named_twice():
-    # the last of "1" and "01" used to win
-    doc = {
-        "topology": {"kind": "cycle", "n": 3},
-        "amplitudes": {"1": [[1.0, 0.0]] * 3, "01": [[2.0, 0.0]] * 3},
-    }
-    with pytest.raises(ValueError, match="state site 1 is given more than once"):
-        state_from_json(doc)
+    assert doc["topology"] == {"kind": "window", "half_width": 5}
+    assert_pairs_are_the_amplitudes(doc, state)
 
 
 # keys that int() reads, or that name no site, which a site key may not be
@@ -152,17 +99,11 @@ def test_bad_site_key_is_named(key):
     doc = {"values": {"0": [1.0, 0.0], key: [1.0, 0.0]}}
     with pytest.raises(ValueError, match=re.escape(f"site key {key!r} is not an integer")):
         seeds_from_json(doc)
-    doc = {"topology": {"kind": "cycle", "n": 12}, "amplitudes": {"0": [[1.0, 0.0]] * 3}}
-    doc["amplitudes"][key] = [[1.0, 0.0]] * 3
-    with pytest.raises(ValueError, match=re.escape(f"site key {key!r} is not an integer")):
-        state_from_json(doc)
 
 
 def test_site_keys_with_leading_zeros_and_signs():
     seeds = seeds_from_json({"values": {"01": [1.0, 0.0], "-007": [2.0, 0.0], "-0": [3.0, 0.0]}})
     assert seeds.sites.tolist() == [-7, 0, 1] and seeds.values.tolist() == [2.0, 3.0, 1.0]
-    doc = {"topology": {"kind": "window", "half_width": 2}, "amplitudes": {"-02": [[1.0, 0.0]] * 3}}
-    assert state_from_json(doc).amplitudes[0].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_measure_csv_format():
