@@ -12,7 +12,6 @@ import argparse
 import cmath
 import functools
 import gc
-import io
 import json
 import math
 import os
@@ -313,9 +312,7 @@ def cmd_stationary(args) -> int:
 
     fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
     if fmt == "csv":
-        buf = io.StringIO()
-        measure_to_csv(measure, buf, closed)
-        payload = buf.getvalue()
+        payload = measure_to_csv(measure, closed)
     else:
         payload = _json_text(measure_to_json(measure, closed))
 
@@ -410,9 +407,7 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, measure, closed in columns:
-        buf = io.StringIO()
-        measure_to_csv(measure, buf, closed)
-        _atomic_write(outdir / name, buf.getvalue())
+        _atomic_write(outdir / name, measure_to_csv(measure, closed))
     _atomic_write(outdir / "summary.json", summary_text)
     print(f"wrote {len(points)} measures to {outdir}")
     return EXIT_OK

@@ -8,7 +8,6 @@ round-trips doubles exactly.  States and measures are written, not read.
 from __future__ import annotations
 
 from itertools import chain
-from typing import IO
 
 import numpy as np
 
@@ -115,12 +114,8 @@ def measure_to_json(measure: Measure, closed_form: np.ndarray | None = None) -> 
     return doc
 
 
-def measure_to_csv(
-    measure: Measure,
-    out: IO[str],
-    closed_form: np.ndarray | None = None,
-) -> None:
-    """Write ``x,mu`` rows (plus ``mu_closed_form`` when supplied)."""
+def measure_to_csv(measure: Measure, closed_form: np.ndarray | None = None) -> str:
+    """The ``x,mu`` rows (plus ``mu_closed_form`` when supplied) as CSV text."""
     # tolist() yields Python ints and floats; repr round-trips a double exactly
     xs = measure.sites.tolist()
     mus = measure.values.tolist()
@@ -131,7 +126,7 @@ def measure_to_csv(
         header = "x,mu,mu_closed_form\n"
         closed = np.asarray(closed_form, dtype=np.float64).tolist()
         rows = [f"{x},{v!r},{c!r}\n" for x, v, c in zip(xs, mus, closed)]
-    out.write(header + "".join(rows))
+    return header + "".join(rows)
 
 
 def seeds_from_json(obj) -> Seeds:

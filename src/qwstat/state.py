@@ -103,8 +103,13 @@ class WaveState:
         """The (left, stay, right) triple at site x (cycles wrap)."""
         return self.amplitudes[self.topology.index_of(x)]
 
+    def _weights(self) -> np.ndarray:
+        """Each site's squared norm: re^2 + im^2 of each channel, summed in
+        the order verify's kernel sums them, so that they agree bit for bit."""
+        return np.square(self.amplitudes.view(np.float64)).sum(axis=1)
+
     def norm_squared(self) -> float:
-        return float((np.abs(self.amplitudes) ** 2).sum())
+        return float(self._weights().sum())
 
     @property
     def sites(self) -> np.ndarray:

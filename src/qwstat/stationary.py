@@ -181,10 +181,8 @@ def _eigenstate(
 
 
 def measure_of(state: WaveState) -> Measure:
-    """Sitewise squared norm of the state: re^2 + im^2 of each channel,
-    summed in the order verify's kernel sums them, so that they agree bit
-    for bit."""
-    return Measure(state.topology, np.square(state.amplitudes.view(np.float64)).sum(axis=1))
+    """Sitewise squared norm of the state (see ``WaveState._weights``)."""
+    return Measure(state.topology, state._weights())
 
 
 def closed_form_measure_a1(eta: float, phi1: complex, x: int) -> float:

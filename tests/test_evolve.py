@@ -440,7 +440,7 @@ class TestVerifyStationary:
         coin = grover()
         state = type1_state(coin, type1_params(coin), 1e4, 1e4, Cycle(12))
         report = verify_stationary(coin, state, 100)
-        assert report.leaked_fraction == pytest.approx(report.leaked_norm / state.norm_squared(), rel=1e-12)
+        assert report.leaked_fraction == report.leaked_norm / state.norm_squared()
         assert report.leaked_fraction < 1e-13
 
     @pytest.mark.parametrize(("value", "fraction"), [(0.0, 0.0), (np.nan, np.nan)])
@@ -626,14 +626,15 @@ class TestRelativeDrift:
         assert report.max_measure_drift / report.scale == pytest.approx(2.8e-8, rel=0.01)
         assert report.passed is False
 
+    @pytest.mark.filterwarnings("error")
     def test_a_squared_norm_that_overflows_fails(self):
         # each weight 1.28e308 is finite and the eigenstate does not drift,
-        # but the squared norm is inf, so the leaks are NaN
+        # but the squared norm is inf, so the leaks are NaN; the failed report
+        # is returned without a warning
         coin = grover()
         unit = type1_state(coin, type1_params(coin), 1, 0, Cycle(3)).amplitudes
         state = WaveState(Cycle(3), 0.8e154 * unit)
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = verify_stationary(coin, state, 5)
+        report = verify_stationary(coin, state, 5)
         assert np.isfinite(report.scale) and report.max_measure_drift <= report.tol * report.scale
         assert np.isnan(report.leaked_norm)
         assert report.passed is False

@@ -1,4 +1,3 @@
-import io
 import json
 import re
 
@@ -108,9 +107,7 @@ def test_site_keys_with_leading_zeros_and_signs():
 
 def test_measure_csv_format():
     mu = Measure(Window(1), np.array([1.0, 2.5, 1 / 3]))
-    buf = io.StringIO()
-    measure_to_csv(mu, buf)
-    lines = buf.getvalue().split("\n")
+    lines = measure_to_csv(mu).split("\n")
     assert lines[0] == "x,mu"
     assert lines[1] == "-1,1.0"
     assert lines[3] == f"1,{1 / 3!r}"
@@ -119,9 +116,7 @@ def test_measure_csv_format():
 
 def test_measure_csv_with_closed_form_column():
     mu = Measure(Cycle(3), np.array([6.0, 3.0, 3.0]))
-    buf = io.StringIO()
-    measure_to_csv(mu, buf, closed_form=np.array([6.0, 3.0, 3.0]))
-    lines = buf.getvalue().splitlines()
+    lines = measure_to_csv(mu, closed_form=np.array([6.0, 3.0, 3.0])).splitlines()
     assert lines[0] == "x,mu,mu_closed_form"
     assert lines[1] == "0,6.0,6.0"
 
@@ -129,9 +124,7 @@ def test_measure_csv_with_closed_form_column():
 def test_csv_floats_round_trip():
     values = np.array([1 / 3, 2 / 7, 1e-17, 123456.789012345])
     mu = Measure(Window(1), np.abs(values[:3]))
-    buf = io.StringIO()
-    measure_to_csv(mu, buf)
-    for line, v in zip(buf.getvalue().splitlines()[1:], mu.values):
+    for line, v in zip(measure_to_csv(mu).splitlines()[1:], mu.values):
         assert float(line.split(",")[1]) == v
 
 
@@ -165,9 +158,7 @@ def test_measure_csv_bytes_match_per_row_format(data):
     closed = None
     if data.draw(st.booleans()):
         closed = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)))
-    buf = io.StringIO(newline="")
-    measure_to_csv(mu, buf, closed)
-    assert buf.getvalue() == per_row_csv(mu, closed)
+    assert measure_to_csv(mu, closed) == per_row_csv(mu, closed)
 
 
 def test_seeds_from_bare_mapping():

@@ -90,10 +90,13 @@ MUTANTS = [
            "pass", (f"{STATIONARY}::TestType1State::test_underflowing_measure_rejected",)),
     Mutant("norm-fence-dropped", "stationary.py", "    if not np.isfinite(norm):", "    if False:",
            (f"{STATIONARY}::TestWeightFences",)),
-    Mutant("measure-of-abs-squared", "stationary.py",
-           "np.square(state.amplitudes.view(np.float64)).sum(axis=1)",
-           "(np.abs(state.amplitudes) ** 2).sum(axis=1)",
+    Mutant("measure-of-abs-squared", "state.py",
+           "np.square(self.amplitudes.view(np.float64)).sum(axis=1)",
+           "(np.abs(self.amplitudes) ** 2).sum(axis=1)",
            (f"{EVOLVE}::TestRing::test_scale_and_norm_are_those_of_measure_of",)),
+    Mutant("norm-squared-abs-squared", "state.py", "return float(self._weights().sum())",
+           "return float((np.abs(self.amplitudes) ** 2).sum())",
+           ("tests/test_state.py::test_norm_squared_is_the_sum_of_the_weights",)),
     Mutant("type2-cycle-lag-not-wrapped", "stationary.py", "padded[0] = padded[n]  # overwrites key -1",
            "pass", (f"{STATIONARY}::TestType2State",)),
     Mutant("closed-form-equal-seeds-dropped", "stationary.py",
@@ -104,6 +107,8 @@ MUTANTS = [
            "\n        and (scale >= MIN_SCALE or not state.amplitudes.any())", "",
            (f"{EVOLVE}::TestRelativeDrift::test_underflowed_state_fails",)),
     Mutant("verify-norm-check-dropped", "evolve.py", "math.isfinite(norm0) and ", "",
+           (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
+    Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
            (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
     Mutant("leaked-not-clamped", "evolve.py", "leaked = float(np.maximum(norm0 - norm, 0.0))",
            "leaked = float(abs(norm0 - norm))",
