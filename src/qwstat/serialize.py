@@ -1,7 +1,8 @@
 """JSON and CSV interchange for coins, states, measures, and seed files.
 
-Conventions: complex numbers are [re, im] pairs; every emitted JSON document
-carries ``"schema": 1``; CSV uses LF line endings and repr formatting, which
+Conventions: complex numbers are [re, im] pairs, read and written through
+the float64 view of a complex128 array; every emitted JSON document carries
+``"schema": 1``; CSV uses LF line endings and repr formatting, which
 round-trips doubles exactly.  States and measures are written, not read.
 """
 
@@ -30,9 +31,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _pairs(a: np.ndarray) -> list:
+    """The complex array as nested lists of [re, im] pairs, the inverse of
+    _complex_array."""
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def _complex_array(pairs, what: str) -> np.ndarray:
@@ -73,8 +75,7 @@ def _sites_of_keys(keys) -> np.ndarray:
 
 
 def coin_to_json(coin: CoinMatrix) -> dict:
-    matrix = [[_pair(coin.matrix[i, j]) for j in range(3)] for i in range(3)]
-    return {"schema": SCHEMA_VERSION, "matrix": matrix}
+    return {"schema": SCHEMA_VERSION, "matrix": _pairs(coin.matrix)}
 
 
 def coin_from_json(obj) -> CoinMatrix:
@@ -90,14 +91,10 @@ def topology_to_json(topology: Topology) -> dict:
 
 
 def state_to_json(state: WaveState) -> dict:
-    amplitudes = {
-        str(int(x)): [_pair(c) for c in state.amplitudes[i]]
-        for i, x in enumerate(state.sites)
-    }
     return {
         "schema": SCHEMA_VERSION,
         "topology": topology_to_json(state.topology),
-        "amplitudes": amplitudes,
+        "amplitudes": dict(zip(map(str, state.sites.tolist()), _pairs(state.amplitudes))),
     }
 
 
@@ -147,8 +144,8 @@ def reduced_params_to_json(params: ReducedParams) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "type": params.walk_type.value,
-        "lambda": _pair(params.lam),
-        "a1": _pair(params.a_tilde_1),
-        "a2": _pair(params.a_tilde_2),
+        "lambda": [params.lam.real, params.lam.imag],
+        "a1": [params.a_tilde_1.real, params.a_tilde_1.imag],
+        "a2": [params.a_tilde_2.real, params.a_tilde_2.imag],
         "residual": params.residual,
     }

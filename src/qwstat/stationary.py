@@ -163,7 +163,7 @@ def _eigenstate(
     stay = 1.0 / (lam - coin.a22) * (coin.a21 * left + coin.a23 * right)
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = measure_of(state).values
+        mu = state._weights()
         norm = mu.sum()
     finite = np.isfinite(mu)
     if not finite.all():

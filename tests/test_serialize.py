@@ -12,6 +12,7 @@ from qwstat import (
     Measure,
     NonUnitary,
     Seeds,
+    WaveState,
     Window,
     fourier,
     grover,
@@ -87,6 +88,25 @@ def test_state_round_trip_on_window():
     doc = json.loads(json.dumps(state_to_json(state)))
     assert doc["topology"] == {"kind": "window", "half_width": 5}
     assert_pairs_are_the_amplitudes(doc, state)
+
+
+def state_of_parts(topology, parts):
+    """A state (not an eigenstate) whose re and im parts cycle through these."""
+    flat = np.resize(np.array(parts, dtype=np.float64), 6 * topology.n_sites)
+    return WaveState(topology, flat.view(np.complex128).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("topology", [Cycle(4), Window(2)])
+def test_state_round_trip_keeps_negative_zero(topology):
+    # -0.0 and 0.0 differ in their bytes, so the sign must survive the writer
+    state = state_of_parts(topology, [-0.0, 1.0, 0.5, -0.0, -0.0, 0.0, 2.0])
+    assert_pairs_are_the_amplitudes(json.loads(json.dumps(state_to_json(state))), state)
+
+
+@pytest.mark.parametrize("topology", [Cycle(4), Window(2)])
+def test_state_round_trip_keeps_subnormal_parts(topology):
+    state = state_of_parts(topology, [5e-324, -1.0, 2.2e-310, 0.0, -5e-324, 3.0, 1e-320])
+    assert_pairs_are_the_amplitudes(json.loads(json.dumps(state_to_json(state))), state)
 
 
 # keys that int() reads, or that name no site, which a site key may not be
