@@ -55,7 +55,7 @@ class CoinMatrix:
     family_param: float | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128, order="C")
         if m.shape != (3, 3):
             raise ValueError(f"coin matrix must be 3x3, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(np.float64))):

@@ -32,8 +32,8 @@ SCHEMA_VERSION = 1
 
 
 def _pairs(a: np.ndarray) -> list:
-    """The complex array as nested lists of [re, im] pairs, the inverse of
-    _complex_array."""
+    """The row-major complex array (as coins and states store theirs) as
+    nested lists of [re, im] pairs, the inverse of _complex_array."""
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
@@ -72,6 +72,8 @@ def _sites_of_keys(keys) -> np.ndarray:
         digits = key.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"site key {key!r} is not an integer in ASCII digits")
+    # every key is digits now, so int() refused one for its length alone
+    raise ValueError("site index does not fit in 64 bits")
 
 
 def coin_to_json(coin: CoinMatrix) -> dict:

@@ -80,7 +80,7 @@ class WaveState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self._freeze(np.array(self.amplitudes, dtype=np.complex128))
+        self._freeze(np.array(self.amplitudes, dtype=np.complex128, order="C"))
 
     @classmethod
     def _adopt(cls, topology: Topology, amplitudes: np.ndarray) -> WaveState:

@@ -632,6 +632,25 @@ class TestSweep:
         assert len(summary["points"]) == 15
         assert max(point["max_abs_diff"] for point in summary["points"]) < 1e-9
 
+    def test_one_point_grid(self, tmp_path):
+        outdir = tmp_path / "sweep"
+        code = main(["sweep", "--coin", "stefanak-eta", "--type", "1", "--grid", "0.4:0.4:1",
+                     "--topology", "cycle:6", "--outdir", str(outdir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in outdir.iterdir()) == ["stefanak_eta_0.400000.csv", "summary.json"]
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert [point["csv"] for point in summary["points"]] == ["stefanak_eta_0.400000.csv"]
+
+    def test_a_file_name_of_exactly_the_limit_is_written(self, tmp_path):
+        # 251 bytes, and 255 with the .tmp suffix of the atomic write
+        outdir = tmp_path / "sweep"
+        name = f"stefanak_eta_{-1e226:.6f}.csv"
+        assert len(f"{name}.tmp".encode()) == cli._NAME_MAX
+        code = main(["sweep", "--coin", "stefanak-eta", "--type", "1", "--values=-1e226",
+                     "--topology", "cycle:6", "--outdir", str(outdir)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in outdir.iterdir()) == [name, "summary.json"]
+
     def test_sweep_requires_family_coin(self):
         assert (
             main(["sweep", "--coin", "grover", "--type", "1", "--grid", "0:1:2",
@@ -674,6 +693,8 @@ class TestSweep:
             ("stefanak-rho", "0:1:0"),
             # a 325-byte file name, which used to fail after the first CSV was written
             ("stefanak-eta", "0.5,1e300"),
+            # a name of 256 bytes with its .tmp suffix, one past the limit
+            ("stefanak-eta", "1e227"),
         ],
     )
     def test_failed_point_writes_nothing(self, tmp_path, capsys, coin, values):
@@ -852,6 +873,15 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: malformed {kind} file {path}: " in captured.err
+
+    def test_a_site_key_past_the_int_digit_limit_is_named(self, tmp_path, capsys):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps({"values": {"1" * 5000: [1, 0]}}))
+        argv = ["stationary", "--coin", "grover", "--type", "2", "--topology", "cycle:5"]
+        assert main([*argv, "--seeds", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: malformed seeds file {path}: site index does not fit in 64 bits\n"
+        )
 
     @pytest.mark.parametrize(
         "kind, text, key",

@@ -89,6 +89,11 @@ class TestMakeCoin:
         c = make_coin(m)
         assert np.array_equal(c.matrix, m)
 
+    def test_a_column_major_matrix_is_accepted(self):
+        m = np.asfortranarray(grover().matrix)
+        coin = make_coin(m)
+        assert coin.matrix.flags.c_contiguous and np.array_equal(coin.matrix, m)
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             make_coin(np.eye(2))

@@ -610,6 +610,15 @@ class TestRelativeDrift:
         assert report.scale >= MIN_SCALE
         assert report.passed is True
 
+    def test_a_scale_of_exactly_min_scale_passes(self):
+        # the identity coin keeps a stay amplitude in place; its weight,
+        # (2**-511)**2, is the smallest normal double and passes
+        state = impulses(Cycle(5), {(2, 1): 2.0**-511})
+        report = verify_stationary(make_coin(np.eye(3)), state, 3)
+        assert report.scale == MIN_SCALE == 2.0**-1022
+        assert report.max_measure_drift == 0.0
+        assert report.passed is True
+
     @pytest.mark.parametrize("seed", [1e-150, 1e-152, 1e-153, 1e-154])
     def test_subnormal_threshold_still_decides(self, seed):
         # scale runs from 6e-300 down to 6e-308, so tol * scale is subnormal

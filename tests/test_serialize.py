@@ -97,15 +97,16 @@ def state_of_parts(topology, parts):
 
 
 @pytest.mark.parametrize("topology", [Cycle(4), Window(2)])
-def test_state_round_trip_keeps_negative_zero(topology):
-    # -0.0 and 0.0 differ in their bytes, so the sign must survive the writer
-    state = state_of_parts(topology, [-0.0, 1.0, 0.5, -0.0, -0.0, 0.0, 2.0])
-    assert_pairs_are_the_amplitudes(json.loads(json.dumps(state_to_json(state))), state)
-
-
-@pytest.mark.parametrize("topology", [Cycle(4), Window(2)])
-def test_state_round_trip_keeps_subnormal_parts(topology):
-    state = state_of_parts(topology, [5e-324, -1.0, 2.2e-310, 0.0, -5e-324, 3.0, 1e-320])
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [-0.0, 1.0, 0.5, -0.0, -0.0, 0.0, 2.0],  # -0.0 and 0.0 differ in their bytes
+        [5e-324, -1.0, 2.2e-310, 0.0, -5e-324, 3.0, 1e-320],
+    ],
+    ids=["negative-zero", "subnormal"],
+)
+def test_state_round_trip_keeps_every_bit(topology, parts):
+    state = state_of_parts(topology, parts)
     assert_pairs_are_the_amplitudes(json.loads(json.dumps(state_to_json(state))), state)
 
 
@@ -247,6 +248,14 @@ def test_type2_state_from_seed_arrays_matches_the_dict(topology, pairs, coin):
 def test_seed_site_beyond_int64_rejected_while_parsing(site):
     with pytest.raises(ValueError, match="64 bits"):
         seeds_from_json({"values": {"0": [1.0, 0.0], str(site): [1.0, 0.0]}})
+
+
+@pytest.mark.parametrize("key", ["1" * 5000, "-" + "9" * 5000], ids=["5000-digits", "minus-5000-digits"])
+def test_site_key_past_the_int_digit_limit_does_not_fit(key):
+    # int() refuses a string of more than 4300 digits with a ValueError, not
+    # the OverflowError of numpy's int64 conversion
+    with pytest.raises(ValueError, match="^site index does not fit in 64 bits$"):
+        seeds_from_json({"values": {"0": [1.0, 0.0], key: [1.0, 0.0]}})
 
 
 def test_seed_sites_at_the_int64_limits():

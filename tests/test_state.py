@@ -17,6 +17,14 @@ def test_wave_state_shape():
         WaveState(Cycle(4), np.zeros((4, 2)))
 
 
+def test_amplitudes_are_stored_row_major():
+    # the transpose of a (3, N) array: its rows are not adjacent in memory
+    amps = (np.arange(15.0) + 1j).reshape(3, 5).T
+    state = WaveState(Cycle(5), amps)
+    assert state.amplitudes.flags.c_contiguous
+    assert measure_of(state).values.tolist() == (amps.real**2 + amps.imag**2).sum(axis=1).tolist()
+
+
 def test_measure_shape():
     with pytest.raises(ValueError, match=r"values must have shape \(5,\), got \(4,\)"):
         Measure(Window(2), np.ones(4))

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 EVOLVE = "tests/test_evolve.py"
 REDUCED = "tests/test_reduced.py"
+SERIALIZE = "tests/test_serialize.py"
 STATIONARY = "tests/test_stationary.py"
 
 MUTANTS = [
@@ -102,10 +103,17 @@ MUTANTS = [
     Mutant("closed-form-equal-seeds-dropped", "stationary.py",
            "return coin.family in _TYPE1_FAMILIES and phi1 == phi3",
            "return coin.family in _TYPE1_FAMILIES", (f"{STATIONARY}::TestClosedFormApplies",)),
+    # a complex array is stored row-major, so its float64 view is its [re, im] pairs
+    Mutant("coin-layout-kept", "coin.py", 'dtype=np.complex128, order="C")', "dtype=np.complex128)",
+           ("tests/test_coin.py::TestMakeCoin::test_a_column_major_matrix_is_accepted",)),
+    Mutant("state-layout-kept", "state.py", 'dtype=np.complex128, order="C")', "dtype=np.complex128)",
+           ("tests/test_state.py::test_amplitudes_are_stored_row_major",)),
     # verify's decision and report
     Mutant("verify-min-scale-dropped", "evolve.py",
            "\n        and (scale >= MIN_SCALE or not state.amplitudes.any())", "",
            (f"{EVOLVE}::TestRelativeDrift::test_underflowed_state_fails",)),
+    Mutant("verify-min-scale-exclusive", "evolve.py", "scale >= MIN_SCALE", "scale > MIN_SCALE",
+           (f"{EVOLVE}::TestRelativeDrift::test_a_scale_of_exactly_min_scale_passes",)),
     Mutant("verify-norm-check-dropped", "evolve.py", "math.isfinite(norm0) and ", "",
            (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
     Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
@@ -131,11 +139,23 @@ MUTANTS = [
     Mutant("cone-not-wrapping", "evolve.py", "ring = np.concatenate((near[-1:], near, near[:1]))",
            "ring = np.concatenate((near[:1], near, near[-1:]))",
            (f"{EVOLVE}::TestEigenResidual::test_relative_site_by_site",)),
+    # sweep's command line
+    Mutant("one-point-grid-rejected", "cli.py", "if count < 1:", "if count <= 1:",
+           ("tests/test_cli.py::TestSweep::test_one_point_grid",)),
+    Mutant("name-limit-exclusive", "cli.py", "> _NAME_MAX:", ">= _NAME_MAX:",
+           ("tests/test_cli.py::TestSweep::test_a_file_name_of_exactly_the_limit_is_written",)),
     # serialization
     Mutant("schema-version-2", "serialize.py", "SCHEMA_VERSION = 1", "SCHEMA_VERSION = 2",
-           ("tests/test_serialize.py",)),
+           (SERIALIZE,)),
+    Mutant("pairs-re-im-swapped", "serialize.py", "a.view(np.float64).reshape(*a.shape, 2).tolist()",
+           "a.view(np.float64).reshape(*a.shape, 2)[..., ::-1].tolist()",
+           tuple(f"{SERIALIZE}::test_state_round_trip_{name}" for name in (
+               "preserves_measure_exactly", "on_window", "keeps_every_bit"))),
+    Mutant("long-site-key-falls-through", "serialize.py",
+           '    raise ValueError("site index does not fit in 64 bits")\n\n', "\n",
+           (f"{SERIALIZE}::test_site_key_past_the_int_digit_limit_does_not_fit",)),
     Mutant("csv-str-not-repr", "serialize.py", 'rows = [f"{x},{v!r}\\n" for x, v in zip(xs, mus)]',
-           'rows = [f"{x},{v}\\n" for x, v in zip(xs, mus)]', ("tests/test_serialize.py",)),
+           'rows = [f"{x},{v}\\n" for x, v in zip(xs, mus)]', (SERIALIZE,)),
 ]
 
 # Mutants no test can kill, each with the reason it changes no result.
