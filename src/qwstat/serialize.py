@@ -102,7 +102,7 @@ def state_to_json(state: WaveState) -> dict:
 
 def measure_to_json(measure: Measure, closed_form: np.ndarray | None = None) -> dict:
     """The measure's ``values`` by site key (plus ``closed_form`` when supplied)."""
-    keys = [str(x) for x in measure.sites.tolist()]
+    keys = list(map(str, measure.sites.tolist()))
     doc = {
         "schema": SCHEMA_VERSION,
         "topology": topology_to_json(measure.topology),
