@@ -3,7 +3,8 @@
 Conventions: complex numbers are [re, im] pairs, read and written through
 the float64 view of a complex128 array; every emitted JSON document carries
 ``"schema": 1``; CSV uses LF line endings and repr formatting, which
-round-trips doubles exactly.  States and measures are written, not read.
+round-trips doubles exactly.  Coins and seeds are read, not written;
+states and measures are written, not read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .state import Cycle, Measure, Seeds, Topology, WaveState
 
 __all__ = [
     "SCHEMA_VERSION",
-    "coin_to_json",
     "coin_from_json",
     "topology_to_json",
     "state_to_json",
@@ -32,8 +32,8 @@ SCHEMA_VERSION = 1
 
 
 def _pairs(a: np.ndarray) -> list:
-    """The row-major complex array (as coins and states store theirs) as
-    nested lists of [re, im] pairs, the inverse of _complex_array."""
+    """The row-major complex array (as states store theirs) as nested lists
+    of [re, im] pairs, the inverse of _complex_array."""
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
@@ -74,10 +74,6 @@ def _sites_of_keys(keys) -> np.ndarray:
             raise ValueError(f"site key {key!r} is not an integer in ASCII digits")
     # every key is digits now, so int() refused one for its length alone
     raise ValueError("site index does not fit in 64 bits")
-
-
-def coin_to_json(coin: CoinMatrix) -> dict:
-    return {"schema": SCHEMA_VERSION, "matrix": _pairs(coin.matrix)}
 
 
 def coin_from_json(obj) -> CoinMatrix:

@@ -32,11 +32,6 @@ class Window:
     def sites(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + 1)
 
-    def index_of(self, x: int) -> int:
-        if not -self.half_width <= x <= self.half_width:
-            raise ValueError(f"site {x} outside window [-{self.half_width}, {self.half_width}]")
-        return int(x) + self.half_width
-
     def wrap(self, x: int) -> int:
         return int(x)
 
@@ -58,9 +53,6 @@ class Cycle:
 
     def sites(self) -> np.ndarray:
         return np.arange(self.n)
-
-    def index_of(self, x: int) -> int:
-        return int(x) % self.n
 
     def wrap(self, x: int) -> int:
         return int(x) % self.n
@@ -99,10 +91,6 @@ class WaveState:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
-    def amplitude(self, x: int) -> np.ndarray:
-        """The (left, stay, right) triple at site x (cycles wrap)."""
-        return self.amplitudes[self.topology.index_of(x)]
-
     def _weights(self) -> np.ndarray:
         """Each site's squared norm: re^2 + im^2 of each channel, summed in
         the order verify's kernel sums them, so that they agree bit for bit."""
@@ -131,9 +119,6 @@ class Measure:
             raise ValueError("measure values must be nonnegative")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def value(self, x: int) -> float:
-        return float(self.values[self.topology.index_of(x)])
 
     @property
     def sites(self) -> np.ndarray:

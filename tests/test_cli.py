@@ -21,24 +21,22 @@ from qwstat.cli import (
     parse_complex,
     parse_topology,
 )
-from qwstat.serialize import coin_to_json
 from qwstat.state import Cycle, Window
 from qwstat.tolerance import DRIFT_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 
-def coin_with_parts(convert):
-    """The Grover coin's document with convert() applied to every re and im part."""
-    doc = coin_to_json(grover())
-    doc["matrix"] = [[[convert(part) for part in cell] for cell in row] for row in doc["matrix"]]
-    return doc
+def coin_doc(coin, convert=float):
+    """The coin's file, with convert() applied to every re and im part."""
+    rows = coin.matrix.tolist()
+    return {"schema": 1, "matrix": [[[convert(z.real), convert(z.imag)] for z in row] for row in rows]}
 
 
 # Files that give one key twice, which a Python dict cannot hold, so kept as text.
 SEEDS_TWICE = '{"values": {"0": [1, 0], "0": [5, 0]}}'
 MATRIX_TWICE = '{{"matrix": {}, "matrix": {}}}'.format(
-    *(json.dumps(coin_to_json(coin)["matrix"]) for coin in (grover(), fourier()))
+    *(json.dumps(coin_doc(coin)["matrix"]) for coin in (grover(), fourier()))
 )
 
 
@@ -122,7 +120,7 @@ class TestClassify:
 
         coin = random_coin(np.random.default_rng(3))
         path = tmp_path / "coin.json"
-        path.write_text(json.dumps(coin_to_json(coin)))
+        path.write_text(json.dumps(coin_doc(coin)))
         assert main(["classify", "--coin", f"custom:{path}"]) == EXIT_CLASSIFY
 
     def test_json_report(self, capsys):
@@ -142,7 +140,7 @@ class TestClassify:
     def test_out_of_scope_coin_still_reports_json(self, tmp_path, capsys):
         # the identity has zero entries, so neither classification applies
         path = tmp_path / "identity.json"
-        path.write_text(json.dumps(coin_to_json(make_coin(np.eye(3)))))
+        path.write_text(json.dumps(coin_doc(make_coin(np.eye(3)))))
         assert main(["classify", "--coin", f"custom:{path}", "--json"]) == EXIT_INPUT
         out = capsys.readouterr().out
         assert "type 1: FAILED ZeroEntry" in out and "type 2: FAILED ZeroEntry" in out
@@ -854,9 +852,9 @@ class TestMisc:
             ("seeds", {"values": {"0": [1.0, 0.0, 0.0]}}),
             ("seeds", {"values": {"0": [1.0, 0.0], str(2**64): [1.0, 0.0]}}),
             ("seeds", {"values": {"0": [10**400, 0]}}),
-            ("coin", coin_with_parts(str)),
-            ("coin", coin_with_parts(bool)),
-            ("coin", coin_with_parts(lambda part: None)),
+            ("coin", coin_doc(grover(), str)),
+            ("coin", coin_doc(grover(), bool)),
+            ("coin", coin_doc(grover(), lambda part: None)),
             pytest.param("seeds", SEEDS_TWICE, id="seeds-repeated-key"),
             pytest.param("coin", MATRIX_TWICE, id="coin-repeated-key"),
             ("seeds", {"values": {"1_0": [1.0, 0.0]}}),  # int() reads it as site 10

@@ -93,7 +93,7 @@ class TestStep:
         # a left-mover at the left edge exits entirely in one identity step
         topo = Window(2)
         amps = np.zeros((5, 3), dtype=complex)
-        amps[topo.index_of(-2), 0] = 1.0
+        amps[0, 0] = 1.0  # site -2
         out = step(make_coin(np.eye(3)), WaveState(topo, amps))
         assert out.norm_squared() == 0.0
 
@@ -221,7 +221,7 @@ class TestEigenResidual:
         coin = grover()
         state = type1_state(coin, type1_params(coin), 0.5, -0.2j, topology)
         amps = state.amplitudes.copy()
-        amps[topology.index_of(site), 0] += 1e-3
+        amps[topology.sites().tolist().index(site), 0] += 1e-3
         residual = eigen_residual(coin, WaveState(topology, amps), -1)
         assert isinstance(residual, float)
         assert residual == pytest.approx(1e-3, rel=1e-9)
@@ -286,7 +286,7 @@ class TestEigenResidual:
         params = type2_params(coin)
         topology = Cycle(2000)
         amps = type2_state(coin, params, {0: 1e6, 1000: 1}, topology).amplitudes.copy()
-        amps[topology.index_of(1000)] *= 1.5
+        amps[1000] *= 1.5
         state = WaveState(topology, amps)
         residual = eigen_residual(coin, state, params.lam)
         assert (float(residual), residual.site) == (0.5, 1000)
@@ -429,7 +429,7 @@ class TestVerifyStationary:
     def test_leaked_norm_recorded(self):
         topo = Window(4)
         amps = np.zeros((topo.n_sites, 3), dtype=complex)
-        amps[topo.index_of(-3), 0] = 1.0  # exits after two identity steps
+        amps[1, 0] = 1.0  # site -3 exits after two identity steps
         report = verify_stationary(make_coin(np.eye(3)), WaveState(topo, amps), 3, tol=10.0)
         assert report.leaked_norm == pytest.approx(1.0, abs=1e-12)
         assert report.leaked_fraction == report.leaked_norm  # the initial norm is 1

@@ -6,12 +6,6 @@ from hypothesis import strategies as st
 from qwstat import Cycle, Measure, WaveState, Window, measure_of
 
 
-@pytest.mark.parametrize("x", [-4, 4])
-def test_window_index_of_a_site_outside(x):
-    with pytest.raises(ValueError, match=rf"site {x} outside window \[-3, 3\]"):
-        Window(3).index_of(x)
-
-
 def test_wave_state_shape():
     with pytest.raises(ValueError, match=r"amplitudes must have shape \(4, 3\), got \(4, 2\)"):
         WaveState(Cycle(4), np.zeros((4, 2)))
