@@ -29,8 +29,8 @@ OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 def coin_doc(coin, convert=float):
     """The coin's file, with convert() applied to every re and im part."""
-    rows = coin.matrix.tolist()
-    return {"schema": 1, "matrix": [[[convert(z.real), convert(z.imag)] for z in row] for row in rows]}
+    rows = [[[convert(z.real), convert(z.imag)] for z in row] for row in coin.matrix.tolist()]
+    return {"schema": 1, "matrix": rows}
 
 
 # Files that give one key twice, which a Python dict cannot hold, so kept as text.

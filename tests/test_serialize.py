@@ -35,7 +35,8 @@ from qwstat.tolerance import MIN_SCALE
 
 def coin_doc(coin) -> dict:
     """A coin file as the CLI reads it: the matrix as rows of [re, im] pairs."""
-    return {"schema": 1, "matrix": [[[z.real, z.imag] for z in row] for row in coin.matrix.tolist()]}
+    rows = [[[z.real, z.imag] for z in row] for row in coin.matrix.tolist()]
+    return {"schema": 1, "matrix": rows}
 
 
 def test_coin_round_trip():

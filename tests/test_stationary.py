@@ -587,6 +587,19 @@ class TestDetectPeriod:
         state = type1_state(coin, type1_params(coin), 10.0**exponent, 0.0, topology)
         assert detect_period(measure_of(state)) == 1
 
+    def test_wide_window(self):
+        # a full compare of every shift would take minutes here; every shift
+        # of the dip passes the check at the largest weight and fails the one
+        # at the smallest
+        rng = np.random.default_rng(6)
+        topology = Window(100_000)
+        assert detect_period(Measure(topology, rng.uniform(0.5, 1.5, topology.n_sites))) is None
+        dip = np.ones(topology.n_sites)
+        dip[123] = 0.5
+        assert detect_period(Measure(topology, dip)) is None
+        tiled = np.resize(rng.uniform(0.5, 1.5, 7), topology.n_sites)
+        assert detect_period(Measure(topology, tiled)) == 7
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force_scan(self, data):
@@ -619,6 +632,8 @@ def periodic_or_aperiodic_measures(draw):
 
     Periodic measures repeat a random block; on a cycle its length divides
     n, on a window it need not.  Noise, when added, is 1e-4 of the tolerance.
+    An impulse is one nonzero site, at an edge or inside; a tied maximum is
+    an aperiodic measure whose largest weight sits at several sites.
     """
     if draw(st.booleans()):
         n = draw(st.integers(3, 400))
@@ -629,10 +644,18 @@ def periodic_or_aperiodic_measures(draw):
         n = topology.n_sites
         lengths = list(range(1, n + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["tiled", "noisy", "aperiodic"]))
+    kind = draw(st.sampled_from(["tiled", "noisy", "aperiodic", "impulse", "tied maximum"]))
     if kind == "aperiodic":
         block = None
         values = rng.uniform(0.5, 1.5, n)
+    elif kind == "impulse":
+        block = None
+        values = np.zeros(n)
+        values[draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))] = 1.0
+    elif kind == "tied maximum":
+        block = None
+        values = rng.uniform(0.5, 1.5, n)
+        values[rng.choice(n, size=draw(st.integers(2, 3)), replace=False)] = 1.5
     else:
         block = draw(st.sampled_from(lengths))
         values = np.resize(rng.uniform(0.5, 1.5, block), n)
@@ -790,3 +813,82 @@ class TestCycleRestriction:
             cycle_restriction(coin, type2_params(coin), 1.0, 0.0, 6)
         with pytest.raises(ValueError, match="finite"):
             cycle_restriction(coin, type1_params(coin), math.nan, 0.0, 6)
+
+
+def eliminate_stay(coin, lam):
+    """(p, c, q, r) of the eigen relations once the stay channel is
+    eliminated through s = 1/(lam - a22):
+
+        lam left(x)    = p left(x+1) + c right(x+1),  p = a11 + a12 a21 s,  c = a13 + a12 a23 s
+        lam right(x+1) = q left(x) + r right(x),      q = a31 + a32 a21 s,  r = a33 + a32 a23 s
+    """
+    s = 1 / (lam - coin.a22)
+    return (
+        coin.a11 + coin.a12 * coin.a21 * s,
+        coin.a13 + coin.a12 * coin.a23 * s,
+        coin.a31 + coin.a32 * coin.a21 * s,
+        coin.a33 + coin.a32 * coin.a23 * s,
+    )
+
+
+def transfer_matrix(coin, lam):
+    """T(lam), mapping (left(x), right(x)) to (left(x+1), right(x+1)); the
+    pivot p must not vanish."""
+    p, c, q, r = eliminate_stay(coin, lam)
+    return np.array([[(lam - c * q / lam) / p, -c * r / (lam * p)], [q / lam, r / lam]])
+
+
+TRANSFER_COINS = {
+    "grover": grover(),
+    "fourier": fourier(),
+    "eta-0.7": stefanak_eta(0.7),
+    "rho-0.4": stefanak_rho(0.4),
+}
+
+
+class TestTransferMatrix:
+    """A second construction of the eigenstates: iterate the relations between
+    neighbouring sites instead of writing the profiles down."""
+
+    @pytest.mark.parametrize("name", TRANSFER_COINS)
+    def test_type1_is_diagonal(self, name):
+        coin = TRANSFER_COINS[name]
+        p = type1_params(coin)
+        expected = np.diag([p.lam / p.a_tilde_1, p.a_tilde_2 / p.lam])
+        assert np.abs(transfer_matrix(coin, p.lam) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", TRANSFER_COINS)
+    def test_type1_state_iterated_from_the_left_edge(self, name):
+        coin = TRANSFER_COINS[name]
+        params = type1_params(coin)
+        lam, phi1, phi3 = params.lam, 0.6 - 0.3j, -0.2 + 1.1j
+        T = transfer_matrix(coin, lam)
+        r1, r2 = lam / params.a_tilde_1, params.a_tilde_2 / lam
+        pair = np.array([r1**-40 * phi1, r2**-40 * phi3])
+        rows = []
+        for _ in range(81):  # sites -40..40
+            rows.append(pair)
+            pair = T @ pair
+        left, right = np.array(rows).T
+        stay = (coin.a21 * left + coin.a23 * right) / (lam - coin.a22)
+        expected = type1_state(coin, params, phi1, phi3, Window(40)).amplitudes
+        iterated = np.stack([left, stay, right], axis=1)
+        assert np.abs(iterated - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name", ["grover", "eta-0.7", "rho-0.4"])
+    def test_type2_pivot_vanishes(self, name):
+        # with p = 0 the left relation ties left(x) to right(x+1) alone, so
+        # any sequence phi_x is a left channel, with right(x+1) = lam phi_x / a1
+        coin = TRANSFER_COINS[name]
+        params = type2_params(coin)
+        lam = params.lam
+        p, c, q, r = eliminate_stay(coin, lam)
+        assert abs(p) <= 1e-15
+        assert abs(c - params.a_tilde_1) <= 1e-15
+        rng = np.random.default_rng(9)
+        seeds = {x: complex(*rng.normal(size=2)) for x in range(-41, 41)}
+        amps = type2_state(coin, params, seeds, Window(40)).amplitudes
+        left, right = amps[:, 0], amps[:, 2]
+        bound = 1e-12 * np.abs(amps).max()
+        assert np.abs(lam * left[:-1] - c * right[1:]).max() <= bound
+        assert np.abs(lam * right[1:] - (q * left[:-1] + r * right[:-1])).max() <= bound

@@ -100,6 +100,10 @@ MUTANTS = [
            ("tests/test_state.py::test_norm_squared_is_the_sum_of_the_weights",)),
     Mutant("type2-cycle-lag-not-wrapped", "stationary.py", "padded[0] = padded[n]  # overwrites key -1",
            "pass", (f"{STATIONARY}::TestType2State",)),
+    # detect_period drops a shift only when its pair at an extreme weight differs by more than tol
+    Mutant("period-prune-strict", "stationary.py", "(np.abs(v[j % n] - v[k]) > tol)",
+           "(np.abs(v[j % n] - v[k]) >= tol)",
+           (f"{STATIONARY}::TestDetectPeriod::test_all_zero_measure_needs_exact_equality",)),
     Mutant("closed-form-equal-seeds-dropped", "stationary.py",
            "return coin.family in _TYPE1_FAMILIES and phi1 == phi3",
            "return coin.family in _TYPE1_FAMILIES", (f"{STATIONARY}::TestClosedFormApplies",)),
