@@ -183,7 +183,11 @@ def verify_stationary(
     if windowed and n_steps >= topo.half_width:
         raise WindowTooSmall(n_steps, topo.half_width)
 
-    drifts, norm0, norm, scale = _drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
+    mu0 = state._weights()  # the weights the state keeps: no step-0 pass of its own
+    drifts, mu = _drift_trace(coin.matrix, state.amplitudes, mu0, n_steps, windowed)
+    scale = float(mu0.max())  # NaN if any weight is
+    with np.errstate(over="ignore"):  # an infinite norm fails the check below
+        norm0, norm = float(mu0.sum()), float(mu.sum())
     drift = float(drifts.max())  # NaN propagates, so a NaN state cannot pass
     leaked = float(np.maximum(norm0 - norm, 0.0))  # clamps round-off, keeps a NaN
     if windowed:
@@ -219,11 +223,13 @@ def _real_form(a: np.ndarray) -> np.ndarray:
 
 
 def _drift_trace(
-    a: np.ndarray, amps: np.ndarray, n_steps: int, windowed: bool
-) -> tuple[np.ndarray, float, float, float]:
-    """Evolve a copy of amps n_steps times; return the drift of each step,
-    the squared norm before the first step and after the last, and the
-    largest weight of the measure before the first step (NaN if any is).
+    a: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, windowed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve a copy of amps n_steps times; return the drift of each step
+    from mu0, the measure of amps, and the measure after the last step.
+    Each step's measure sums its squares in the order ``WaveState._weights``
+    does, so that mu0 may be the state's weights: a step that only moves
+    amplitudes leaves them unchanged bit for bit.
 
     Every step gets its own slot of a (block, 6 (N+2) + 3) real array, step
     0 the last slot of the ring: six rows, the real and imaginary parts of
@@ -279,7 +285,6 @@ def _drift_trace(
     x = halves[1][1][-1]  # step 0 sits in the last slot of the ring
     x[0::2] = amps.real.T
     x[1::2] = amps.imag.T
-    mu0 = measure(x[None])[0].copy()
     r = _real_form(a)
     drifts = np.empty(n_steps)
     for k0 in range(0, n_steps, block):
@@ -301,5 +306,4 @@ def _drift_trace(
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count], where=inside, initial=0.0)
         else:
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count])
-    with np.errstate(over="ignore"):  # an infinite norm fails verify_stationary's check
-        return drifts, float(mu0.sum()), float(measure(x[None])[0].sum()), float(mu0.max())
+    return drifts, measure(x[None])[0]

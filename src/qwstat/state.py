@@ -93,8 +93,17 @@ class WaveState:
 
     def _weights(self) -> np.ndarray:
         """Each site's squared norm: re^2 + im^2 of each channel, summed in
-        the order verify's kernel sums them, so that they agree bit for bit."""
-        return np.square(self.amplitudes.view(np.float64)).sum(axis=1)
+        the order verify's kernel sums them, so that they agree bit for bit.
+        Computed on the first call and kept read-only, for the fences on a
+        built state, ``measure_of`` and ``verify_stationary``; a weight that
+        overflows is inf, without a warning, and each of them rejects it."""
+        mu = self.__dict__.get("_mu")
+        if mu is None:
+            with np.errstate(over="ignore"):
+                mu = np.square(self.amplitudes.view(np.float64)).sum(axis=1)
+            mu.setflags(write=False)
+            object.__setattr__(self, "_mu", mu)
+        return mu
 
     def norm_squared(self) -> float:
         return float(self._weights().sum())
@@ -106,17 +115,35 @@ class WaveState:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Nonnegative site weights, usually the squared norms of a state."""
+    """Finite, nonnegative site weights, usually the squared norms of a state.
+    A NaN, infinite or negative value raises ValueError naming the site
+    label of the first one."""
 
     topology: Topology
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        self._freeze(np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, topology: Topology, values: np.ndarray) -> Measure:
+        """The measure over a float64 array, checked as the constructor checks
+        it but not copied; it is made read-only here."""
+        measure = cls.__new__(cls)
+        object.__setattr__(measure, "topology", topology)
+        measure._freeze(values)
+        return measure
+
+    def _freeze(self, v: np.ndarray) -> None:
         if v.shape != (self.topology.n_sites,):
             raise ValueError(f"values must have shape ({self.topology.n_sites},), got {v.shape}")
-        if (v < 0).any():
-            raise ValueError("measure values must be nonnegative")
+        # min and max propagate a NaN, which fails both comparisons
+        if not (v.min() >= 0.0 and v.max() < np.inf):
+            i = int(np.argmin((v >= 0.0) & (v < np.inf)))
+            raise ValueError(
+                f"measure values must be finite and nonnegative, "
+                f"got {float(v[i])!r} at site {self.topology.sites()[i]}"
+            )
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -149,7 +149,10 @@ def _eigenstate(
 ) -> WaveState:
     """The eigenstate with these left and right channels and the stay channel
     they determine (see the module docstring), if it is not zero
-    (DegenerateSeeds) and every weight measure_of writes is finite.  For
+    (DegenerateSeeds) and every weight is finite.  The fences read the
+    weights the state keeps (``WaveState._weights``), which measure_of
+    writes and verify_stationary starts from, so no later reader weighs the
+    state again.  For
     classified coins 1/(lam - a22) equals -a13/(a12 a23) (Type 1) and
     -a11/(a12 a21) (Type 2) identically.
 
@@ -162,8 +165,8 @@ def _eigenstate(
     """
     stay = 1.0 / (lam - coin.a22) * (coin.a21 * left + coin.a23 * right)
     state = WaveState._adopt(topology, np.stack([left, stay, right], axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = state._weights()
+    mu = state._weights()
+    with np.errstate(over="ignore"):
         norm = mu.sum()
     finite = np.isfinite(mu)
     if not finite.all():
@@ -181,8 +184,10 @@ def _eigenstate(
 
 
 def measure_of(state: WaveState) -> Measure:
-    """Sitewise squared norm of the state (see ``WaveState._weights``)."""
-    return Measure(state.topology, state._weights())
+    """Sitewise squared norm of the state: the weights it keeps (see
+    ``WaveState._weights``), checked as every Measure is, not copied.  A
+    state with an infinite or NaN weight raises ValueError."""
+    return Measure._adopt(state.topology, state._weights())
 
 
 def closed_form_measure_a1(eta: float, phi1: complex, x: int) -> float:
@@ -288,8 +293,6 @@ def detect_period(measure: Measure) -> int | None:
     shifts = np.arange(1, n // 2 + 1)
     if on_cycle:
         shifts = shifts[n % shifts == 0]
-    # "> tol", so that a NaN difference (inf - inf) drops no shift and the
-    # full compare decides it
     far = np.zeros(len(shifts), dtype=bool)
     for k in (v.argmax(), v.argmin()):
         for j in (k + shifts, k - shifts):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwstat import cli, fourier, grover, make_coin, measure_of, type1_params, type1_state
+from qwstat import cli, evolve, fourier, grover, make_coin, measure_of, type1_params, type1_state
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -21,7 +21,7 @@ from qwstat.cli import (
     parse_complex,
     parse_topology,
 )
-from qwstat.state import Cycle, Window
+from qwstat.state import Cycle, WaveState, Window
 from qwstat.tolerance import DRIFT_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
@@ -705,6 +705,56 @@ class TestSweep:
         )
         assert not outdir.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestWeightPasses:
+    """Each built state is weighed once: its fences, the measure written and
+    verify's step 0 all read the one array ``WaveState._weights`` keeps."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The distinct arrays _weights hands out, each one weight pass, and
+        the step-0 measures the verify kernel is given."""
+        arrays, baselines = [], []
+        weights, drift_trace = WaveState._weights, evolve._drift_trace
+
+        def counting(state):
+            mu = weights(state)
+            if not any(mu is seen for seen in arrays):
+                arrays.append(mu)
+            return mu
+
+        def spying(a, amps, mu0, *rest):
+            baselines.append(mu0)
+            return drift_trace(a, amps, mu0, *rest)
+
+        monkeypatch.setattr(WaveState, "_weights", counting)
+        monkeypatch.setattr(evolve, "_drift_trace", spying)
+        return arrays, baselines
+
+    @pytest.mark.parametrize(
+        "argv, states",
+        [
+            (["stationary", "--coin", "fourier", "--type", "1", "--phi1", "w", "--phi3", "w2",
+              "--topology", "cycle:9"], 1),
+            (["stationary", "--coin", "grover", "--type", "2", "--topology", "window:20",
+              "--format", "json"], 1),
+            (["verify", "--coin", "grover", "--type", "1", "--topology", "cycle:12"], 1),
+            (["verify", "--coin", "grover", "--type", "2", "--topology", "window:20",
+              "--steps", "5"], 1),
+            (["sweep", "--coin", "stefanak-eta", "--type", "1", "--values", "0.5,0.7,0.9",
+              "--topology", "cycle:6", "--outdir", "{outdir}"], 3),
+            (["sweep", "--coin", "stefanak-rho", "--type", "2", "--values", "0.3,0.6",
+              "--topology", "window:10", "--outdir", "{outdir}"], 2),
+        ],
+        ids=["stationary-t1", "stationary-t2", "verify-t1", "verify-t2", "sweep-t1", "sweep-t2"],
+    )
+    def test_one_weight_pass_per_built_state(self, monkeypatch, tmp_path, capsys, argv, states):
+        arrays, baselines = self.spy(monkeypatch)
+        assert main([arg.format(outdir=tmp_path / "sweep") for arg in argv]) == EXIT_OK
+        assert len(arrays) == states
+        if argv[0] == "verify":
+            assert len(baselines) == 1 and baselines[0] is arrays[0]
 
 
 class TestMisc:

@@ -417,7 +417,8 @@ class TestVerifyStationary:
         for _ in range(300):
             coin = random_coin(rng)
             state = random_state(Cycle(int(rng.integers(3, 40))), rng)
-            _, norm0, norm, _ = evolve._drift_trace(coin.matrix, state.amplitudes, 20, False)
+            _, mu = evolve._drift_trace(coin.matrix, state.amplitudes, state._weights(), 20, False)
+            norm0, norm = state.norm_squared(), mu.sum()
             report = verify_stationary(coin, state, 20)
             assert report.leaked_norm >= 0.0
             if norm > norm0:
@@ -690,7 +691,9 @@ class TestRing:
     def check(coin, state, n_steps):
         before = state.amplitudes.copy()
         windowed = isinstance(state.topology, Window)
-        drifts, norm0, norm, _ = evolve._drift_trace(coin.matrix, state.amplitudes, n_steps, windowed)
+        mu0 = state._weights()
+        drifts, mu = evolve._drift_trace(coin.matrix, state.amplitudes, mu0, n_steps, windowed)
+        norm0, norm = mu0.sum(), mu.sum()
         want, leaked = step_loop_drifts(coin, state, n_steps)
         assert np.array_equal(state.amplitudes, before, equal_nan=True)
         assert np.array_equal(np.isnan(drifts), np.isnan(want))
@@ -736,16 +739,31 @@ class TestRing:
     )
     @settings(max_examples=60, deadline=None)
     def test_scale_and_norm_are_those_of_measure_of(self, size, seed):
-        # weights of each channel anywhere from 1e-300 to 1e300: the kernel's
-        # step-0 measure is measure_of's, bit for bit, not merely close
+        # weights of each channel anywhere from 1e-300 to 1e300, moved by the
+        # identity coin, whose step moves amplitudes without changing a bit:
+        # the kernel weighs every step as _weights does, bit for bit, so its
+        # drifts from measure_of's weights and its final measure are the step
+        # loop's exactly, down to a drift of 0 when a cycle's movers come back
         rng = np.random.default_rng(seed)
         topology = Cycle(size) if size > 0 else Window(-size)
         moduli = 10.0 ** rng.uniform(-150, 150, size=(topology.n_sites, 3))
         state = WaveState(topology, moduli * np.exp(2j * np.pi * rng.uniform(size=moduli.shape)))
         windowed = isinstance(topology, Window)
-        _, norm0, _, scale = evolve._drift_trace(random_coin(rng).matrix, state.amplitudes, 1, windowed)
-        mu = measure_of(state).values
-        assert (scale, norm0) == (mu.max(), mu.sum())
+        coin = make_coin(np.eye(3))
+        n = topology.n_sites
+        mu0 = measure_of(state).values
+        drifts, mu = evolve._drift_trace(coin.matrix, state.amplitudes, mu0, n, windowed)
+        current, want = state, []
+        for k in range(1, n + 1):
+            current = step(coin, current)
+            lo, hi = (k, n - k) if windowed else (0, n)
+            want.append(np.abs(current._weights() - mu0)[lo:hi].max(initial=0.0))
+        assert drifts.tolist() == want
+        assert mu.tolist() == current._weights().tolist()
+        assert mu.sum() == current.norm_squared()
+        if not windowed:
+            assert want[-1] == 0.0
+        assert verify_stationary(coin, state, 1).scale == mu0.max()
 
     def test_window_edges_of_a_reused_slot_stay_zero(self):
         # on a window the matmul never writes left at the last site or right
@@ -763,18 +781,20 @@ class TestRing:
         self.check(coin, state, n_steps)
 
     def test_memory(self):
-        # at this size a block is one step: two slots of 48 bytes a site, the
-        # block's measure and mu0 of 8 each, and no array of its own for step 0
+        # at this size a block is one step: two slots of 48 bytes a site and
+        # the block's measure of 8, no array of its own for step 0, and no
+        # copy of the state's weights
         n = 99_999
         state = random_state(Cycle(n), np.random.default_rng(4))
+        mu0 = state._weights()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            evolve._drift_trace(grover().matrix, state.amplitudes, 100, False)
+            evolve._drift_trace(grover().matrix, state.amplitudes, mu0, 100, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 112 * n + 64 * 1024
+        assert peak <= 104 * n + 64 * 1024
 
     @pytest.mark.parametrize(
         "coin",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,28 @@ def test_measure_shape():
 def test_measure_negative_weight():
     with pytest.raises(ValueError, match="nonnegative"):
         Measure(Cycle(3), [1.0, -1e-300, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+@pytest.mark.parametrize("topology", [Window(2), Cycle(5)], ids=["window", "cycle"])
+def test_measure_rejects_a_value_that_is_not_finite_and_nonnegative(topology, bad):
+    # the first bad value is named by its site label (-2..2 on the window),
+    # not by its row; a second one further on does not change the message
+    for row, site in enumerate(topology.sites().tolist()):
+        values = np.ones(topology.n_sites)
+        values[row] = values[-1] = bad
+        want = re.escape(f"must be finite and nonnegative, got {bad!r} at site {site}") + "$"
+        with pytest.raises(ValueError, match=want):
+            Measure(topology, values)
+
+
+def test_measure_of_checks_the_weights_the_state_keeps():
+    # one read-only array, weighed once: no copy for the measure
+    state = WaveState(Cycle(4), np.arange(12.0).reshape(4, 3) + 1j)
+    mu = measure_of(state)
+    assert mu.values is state._weights()
+    assert measure_of(state).values is mu.values
+    assert not mu.values.flags.writeable
 
 
 @given(size=st.integers(3, 4097), windowed=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -31,6 +31,7 @@ from qwstat import (
     type1_state,
     type2_params,
     type2_state,
+    verify_stationary,
 )
 from qwstat.stationary import closed_form_applies
 from qwstat.tolerance import CLOSURE_TOL_PER_SITE, MIN_SCALE, RTOL
@@ -392,6 +393,19 @@ class TestMeasures:
         assert np.abs(mu.values - 2.0).max() < 1e-12
         assert detect_period(mu) == 1
 
+    def test_an_infinite_amplitude_has_no_measure_but_fails_verify(self):
+        # measure_of rejects the inf weight at site 2; verify reads the same
+        # weights and reports a failure instead of raising
+        amps = np.ones((5, 3), dtype=complex)
+        amps[2, 1] = np.inf
+        state = WaveState(Cycle(5), amps)
+        with pytest.raises(ValueError, match="^measure values must be finite and nonnegative, got inf at site 2$"):
+            measure_of(state)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the kernel, inf - inf in the drift
+            report = verify_stationary(grover(), state, 3)
+        assert report.scale == np.inf
+        assert report.passed is False
+
     @pytest.mark.parametrize("seeds", [(1.0, 1.0), (0.3 - 0.8j, 1.2 + 0.4j), (2.0, -0.5j)])
     def test_fourier_period_three_for_generic_seeds(self, seeds):
         # any seed pair with phi1 * phi3 != 0 produces a period-3 measure
@@ -599,6 +613,11 @@ class TestDetectPeriod:
         assert detect_period(Measure(topology, dip)) is None
         tiled = np.resize(rng.uniform(0.5, 1.5, 7), topology.n_sites)
         assert detect_period(Measure(topology, tiled)) == 7
+
+    def test_an_infinite_weight_never_reaches_the_scan(self):
+        # the scan compared inf - inf, a NaN, and returned 1 for this measure
+        with pytest.raises(ValueError, match="got inf at site 0$"):
+            Measure(Cycle(3), [np.inf, 1.0, np.inf])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -98,6 +98,9 @@ MUTANTS = [
     Mutant("norm-squared-abs-squared", "state.py", "return float(self._weights().sum())",
            "return float((np.abs(self.amplitudes) ** 2).sum())",
            ("tests/test_state.py::test_norm_squared_is_the_sum_of_the_weights",)),
+    # a Measure is finite and nonnegative: min and max propagate a NaN, max finds an inf
+    Mutant("measure-finite-dropped", "state.py", "v.min() >= 0.0 and v.max() < np.inf", "v.min() >= 0.0",
+           ("tests/test_state.py::test_measure_rejects_a_value_that_is_not_finite_and_nonnegative",)),
     Mutant("type2-cycle-lag-not-wrapped", "stationary.py", "padded[0] = padded[n]  # overwrites key -1",
            "pass", (f"{STATIONARY}::TestType2State",)),
     # detect_period drops a shift only when its pair at an extreme weight differs by more than tol
