@@ -168,13 +168,15 @@ def _eigenstate(
     mu = state._weights()
     with np.errstate(over="ignore"):
         norm = mu.sum()
-    finite = np.isfinite(mu)
-    if not finite.all():
-        site = topology.sites()[np.argmin(finite)]
-        raise ValueError(
-            f"seeds too large: the squared modulus of the state overflows at site {site}"
-        )
+    # a sum of squares is finite iff every square is and the sum does not
+    # overflow: the weights are scanned only to name the site
     if not np.isfinite(norm):
+        finite = np.isfinite(mu)
+        if not finite.all():
+            site = topology.sites()[np.argmin(finite)]
+            raise ValueError(
+                f"seeds too large: the squared modulus of the state overflows at site {site}"
+            )
         raise ValueError("seeds too large: the squared norm of the state overflows")
     if mu.max(initial=0.0) < MIN_SCALE:
         if not state.amplitudes.any():

@@ -123,8 +123,12 @@ MUTANTS = [
            (f"{EVOLVE}::TestRelativeDrift::test_a_scale_of_exactly_min_scale_passes",)),
     Mutant("verify-norm-check-dropped", "evolve.py", "math.isfinite(norm0) and ", "",
            (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
-    Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore"):', "with np.errstate():",
-           (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
+    Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore", invalid="ignore"):',
+           "with np.errstate():", (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
+    Mutant("residual-inf-warns", "evolve.py",
+           'with np.errstate(invalid="ignore"):  # a non-finite state gives a NaN residual',
+           "with np.errstate():",
+           (f"{EVOLVE}::TestEigenResidual::test_an_infinite_amplitude_gives_nan_without_a_warning",)),
     Mutant("leaked-not-clamped", "evolve.py", "leaked = float(np.maximum(norm0 - norm, 0.0))",
            "leaked = float(abs(norm0 - norm))",
            (f"{EVOLVE}::TestVerifyStationary::test_a_cycle_leaks_nothing_when_its_norm_rounds_up",)),
