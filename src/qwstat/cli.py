@@ -136,39 +136,10 @@ def load_coin(args) -> CoinMatrix:
     return make(value)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} is given more than once")
-        obj[key] = value
-    return obj
-
-
-class _ObjectSizes(list):
-    """A json object_hook that keeps the number of entries of each object it sees."""
-
-    def __call__(self, obj: dict) -> dict:
-        self.append(len(obj))
-        return obj
-
-
-def _parse_json(text: str):
-    """json.loads(text), but an object naming a key twice raises ValueError.
-    Outside strings JSON has one colon per key, so the colons outnumber the
-    decoded entries only if a key repeats or a string holds a colon."""
-    sizes = _ObjectSizes()
-    obj = json.loads(text, object_hook=sizes)
-    if text.count(":") != sum(sizes):
-        json.loads(text, object_pairs_hook=_unique_keys)
-    return obj
-
-
 def _read_json_file(path: Path, what: str, parse):
-    """parse() of the JSON document in path.  A file that cannot be read, is
-    not JSON, repeats a key or does not have the structure parse() expects
-    raises a UsageError naming the file (exit 4).
+    """parse() of the bytes of path, a serialize reader.  A file that cannot
+    be read, is not JSON, repeats a key or does not have the structure
+    parse() expects raises a UsageError naming the file (exit 4).
 
     The cyclic garbage collector is paused while the file is decoded and
     parsed: a seeds file holds one small list per site, and the 1e5 of a
@@ -178,10 +149,9 @@ def _read_json_file(path: Path, what: str, parse):
     gc.disable()
     try:
         try:
-            obj = _parse_json(path.read_text(encoding="utf-8"))
+            return parse(path.read_bytes())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read {what} file {path}: {exc}")
-        return parse(obj)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}")
     finally:

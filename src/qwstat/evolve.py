@@ -12,12 +12,14 @@ as they would on the full line.
 ``step`` applies this operator to a ``WaveState`` and is the reference.
 ``verify_stationary`` runs the same recursion through a private kernel,
 and the tests require it to agree with a loop of ``step`` calls.  The
-kernel keeps each step's state in its own slot of a ring buffer as six
-real rows, the real and imaginary parts of the three channels, with a
-ghost cell at each end of a row.  A step is one real matmul of the coin's
-6x6 real form that writes channel c of A x c - 1 sites to the right, which
-applies the shifts without copying.  Measures and drifts are reduced once
-per block of steps, as many states as fit in ``BUDGET`` bytes.
+kernel keeps each step's state in a slot of six real rows, the real and
+imaginary parts of the three channels, with a ghost cell at each end of a
+row.  A step is one real matmul of the coin's 6x6 real form that writes
+channel c of A x c - 1 sites to the right, which applies the shifts
+without copying.  Windows and small cycles run in a ring of slots whose
+measures and drifts are reduced once per block of steps, as many states
+as fit in ``BUDGET`` bytes; large cycles run in tiles small enough to stay
+in cache, each evolved alone with a halo as wide as the run is long.
 """
 
 from __future__ import annotations
@@ -41,6 +43,18 @@ __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 # 2-core Xeon: smaller budgets were slower at N = 401, larger ones no
 # faster, and they cost memory.
 BUDGET = 128 * 1024
+
+# Cycles of at least TILES_FROM sites evolve in tiles that own TILE sites
+# or more (see _tile_trace), smaller ones in the ring.  Timed with Grover
+# and 100 steps on a 2-core Xeon with 2 MiB of L2 per core: the ring took
+# 14.4, 18.9, 25.0, 94.9 and 365 ms at N = 20 001, 24 000, 30 003, 99 999
+# and 300 000, tiles of 8192 sites 14.1, 15.6, 20.3, 78.4 and 212 ms;
+# tiles of 2048 or 4096 sites were slower at every size, and tiles of
+# 12 288 or 16 384 no faster.  At 1000 steps and N = 99 999 the ring took
+# 981 ms, tiles of 8192 sites 818 ms and of 16 384 sites 755 ms, so long
+# runs widen their tiles (_tile_width).
+TILES_FROM = 24_000
+TILE = 8192
 
 
 def step(coin: CoinMatrix, state: WaveState) -> WaveState:
@@ -103,7 +117,7 @@ def eigen_residual(coin: CoinMatrix, state: WaveState, lam: complex) -> EigenRes
     """
     lam = complex(lam)
     _check_unimodular(lam)
-    with np.errstate(invalid="ignore"):  # a non-finite state gives a NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual, no warning
         stepped = step(coin, state).amplitudes
         diff = lam * state.amplitudes  # the difference goes here: step does not own it
         np.subtract(stepped, diff, out=diff)
@@ -234,17 +248,53 @@ def _drift_trace(
     does, so that mu0 may be the state's weights: a step that only moves
     amplitudes leaves them unchanged bit for bit.
 
-    Every step gets its own slot of a (block, 6 (N+2) + 3) real array, step
-    0 the last slot of the ring: six rows, the real and imaginary parts of
-    the left, stay and right channels, each with sites 1..N between two
-    ghost cells.  A step is one matmul of the coin's real
-    form, batched by output channel, into a (3, 2, N) view of the next slot
-    whose channel c starts c sites further right (the stride between
-    channels is one row pair plus one value), so that left(j) = y0(j+1),
-    stay(j) = y1(j) and right(j) = y2(j-1).  The matmul never writes left at
-    the last site or right at the first: on a cycle they are copied from the
-    ghost cells, which hold the values that wrap, and on a window they keep
-    the zeros the slot was made with, once step 0's are cleared.
+    A cycle of at least TILES_FROM sites, and of two tiles or more, runs
+    in tiles (_tile_trace), whose working set stays in cache; smaller
+    cycles and every window run in the ring (_ring_trace).  Both give the
+    same bits.
+    """
+    width = _tile_width(n_steps)
+    if not windowed and amps.shape[0] >= max(TILES_FROM, 2 * width):
+        return _tile_trace(a, amps, mu0, n_steps, width)
+    return _ring_trace(a, amps, mu0, n_steps, windowed)
+
+
+def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of the rows of a (count, 6 (n+2) + 3) or wider real array as
+    count slots of one state of n sites each.
+
+    A slot holds six rows, the real and imaginary parts of the left, stay
+    and right channels, each with sites 1..n between two ghost cells.  A
+    step is one matmul of the coin's real form, batched by output channel,
+    into a (3, 2, n) view of the next slot whose channel c starts c sites
+    further right (the stride between channels is one row pair plus one
+    value), so that left(j) = y0(j+1), stay(j) = y1(j) and right(j) =
+    y2(j-1).  The matmul never writes left at the last site or right at
+    the first: on a cycle the ring copies them from the ghost cells, which
+    hold the values that wrap, and on a window it keeps them at zero.
+
+    Returns the matmul targets, the states, the two cells the matmul misses
+    and the two ghost cells that wrap to them.
+    """
+    count, row = len(buf), n + 2
+    buf = buf[:, : 6 * row + 3]  # + 3: a slot splits into 3 x (2 rows + 1)
+    rows = buf[:, : 6 * row].reshape(count, 6, row)
+    return (
+        buf.reshape(count, 3, 2 * row + 1)[:, :, : 2 * row].reshape(count, 3, 2, row)[:, :, :, :n],
+        rows[:, :, 1 : n + 1],
+        rows[:, 0:2, n],
+        rows[:, 4:6, 1],
+        rows[:, 0:2, 0],
+        rows[:, 4:6, n + 1],
+    )
+
+
+def _ring_trace(
+    a: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, windowed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """_drift_trace with every step in its own slot (see _slots) of a ring,
+    step 0 in the last slot.  On a window the slots keep the zeros they
+    were made with where no matmul writes, once step 0's are cleared.
 
     Steps are reduced a block at a time: one einsum over the block's slots
     gives each step's measure, the sum of squares of its six rows, and one
@@ -264,22 +314,7 @@ def _drift_trace(
         edge_distance = np.arange(n, dtype=np.int32)
         np.minimum(edge_distance, edge_distance[::-1], out=edge_distance)
     block = max(1, min(n_steps, BUDGET // (48 * n)))
-    halves = []
-    for _ in range(2):
-        buf = np.zeros((block, 6 * row + 3))  # + 3: a slot splits into 3 x (2 rows + 1)
-        rows = buf[:, : 6 * row].reshape(block, 6, row)
-        halves.append(
-            (
-                # where A x is written: channel c starts c sites further on
-                buf.reshape(block, 3, 2 * row + 1)[:, :, : 2 * row]
-                .reshape(block, 3, 2, row)[:, :, :, :n],
-                rows[:, :, 1 : n + 1],  # the states
-                rows[:, 0:2, n],  # the sites the matmul misses ...
-                rows[:, 4:6, 1],
-                rows[:, 0:2, 0],  # ... and the ghost cells that wrap to them
-                rows[:, 4:6, n + 1],
-            )
-        )
+    halves = [_slots(np.zeros((block, 6 * row + 3)), n) for _ in range(2)]
     mu = np.empty((block, n))
 
     def measure(states: np.ndarray) -> np.ndarray:
@@ -311,3 +346,67 @@ def _drift_trace(
         else:
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count])
     return drifts, measure(x[None])[0]
+
+
+def _tile_width(n_steps: int) -> int:
+    """Sites a tile owns: TILE, or more where its halos, 2 n_steps sites,
+    would cost more than an eighth of its work."""
+    return max(TILE, 16 * n_steps)
+
+
+def _tile_trace(
+    a: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_drift_trace on a cycle, in tiles of ``width`` sites (the last one
+    shorter) that each evolve alone.
+
+    A tile evolves its own sites with n_steps sites on each side, gathered
+    with wrap, in two slots (see _slots) that alternate.  A step moves
+    amplitude one site, so after k <= n_steps steps the tile's own sites
+    are those of the whole cycle, bit for bit: what the two ends of the
+    slot hold, the step-0 values or an earlier tile's in the cells no
+    matmul writes, never reaches them.  Measures and drifts are taken on
+    the own sites only, and each step's drift is the max over tiles, NaN if
+    any tile's is.  The final measure of each tile's own sites is written
+    in place.
+    """
+    n = amps.shape[0]
+    halo = n_steps
+    buf = np.zeros((2, 6 * (width + 2 * halo + 2) + 3))
+    r = _real_form(a)
+    mu = np.empty(n)  # the measure of the step last taken, on the tiles done
+    d = np.empty(width)
+    drifts = np.zeros(n_steps)  # drifts are >= 0 or NaN, which maximum keeps
+    tile_drifts = np.empty(n_steps)
+    for first in range(0, n, width):
+        own = min(width, n - first)
+        span = own + 2 * halo
+        out, state = _slots(buf, span)[:2]
+        x = state[0]
+        _gather(x, amps, first - halo)
+        m = mu[first : first + own]
+        base = mu0[first : first + own]
+        dk = d[:own]
+        for k in range(1, n_steps + 1):  # step k goes to slot k % 2
+            np.matmul(r, x, out=out[k % 2])
+            x = state[k % 2]
+            own_rows = x[:, halo : halo + own]
+            np.einsum("ij,ij->j", own_rows, own_rows, out=m)
+            np.subtract(m, base, out=dk)
+            np.abs(dk, out=dk)
+            tile_drifts[k - 1] = dk.max()
+        np.maximum(drifts, tile_drifts, out=drifts)
+    return drifts, mu
+
+
+def _gather(x: np.ndarray, amps: np.ndarray, start: int) -> None:
+    """Fill the (6, span) rows x with the sites start, start + 1, ... of
+    amps, wrapping round the cycle, without a temporary copy."""
+    n = amps.shape[0]
+    j = 0
+    while j < x.shape[1]:
+        s = (start + j) % n
+        count = min(x.shape[1] - j, n - s)
+        x[0::2, j : j + count] = amps[s : s + count].real.T
+        x[1::2, j : j + count] = amps[s : s + count].imag.T
+        j += count

@@ -4,11 +4,15 @@ Conventions: complex numbers are [re, im] pairs, read and written through
 the float64 view of a complex128 array; every emitted JSON document carries
 ``"schema": 1``; CSV uses LF line endings and repr formatting, which
 round-trips doubles exactly.  Coins and seeds are read, not written;
-states and measures are written, not read.
+states and measures are written, not read.  The readers take a parsed
+document or a file's bytes; in a file, an object that names a key twice is
+an error.
 """
 
 from __future__ import annotations
 
+import io
+import json
 from itertools import chain
 
 import numpy as np
@@ -52,6 +56,95 @@ def _complex_array(pairs, what: str) -> np.ndarray:
     return np.array(flat, dtype=np.float64).view(np.complex128)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given more than once")
+        obj[key] = value
+    return obj
+
+
+class _ObjectSizes(list):
+    """A json object_hook that keeps the number of entries of each object it sees."""
+
+    def __call__(self, obj: dict) -> dict:
+        self.append(len(obj))
+        return obj
+
+
+def _parse_json(text: str):
+    """json.loads(text), but an object naming a key twice raises ValueError.
+    Outside strings JSON has one colon per key, so the colons outnumber the
+    decoded entries only if a key repeats or a string holds a colon."""
+    sizes = _ObjectSizes()
+    obj = json.loads(text, object_hook=sizes)
+    if text.count(":") != sum(sizes):
+        json.loads(text, object_pairs_hook=_unique_keys)
+    return obj
+
+
+def _document(doc):
+    """doc, or the JSON document of a file's bytes, decoded as
+    ``Path.read_text(encoding="utf-8")`` decodes a file (with universal
+    newlines) and parsed by _parse_json."""
+    if isinstance(doc, bytes):
+        return _parse_json(io.TextIOWrapper(io.BytesIO(doc), encoding="utf-8").read())
+    return doc
+
+
+# The seeds file json.dumps({"schema": 1, "values": {...}}) writes: this
+# prefix, one '"site": [re, im]' per site with ", " between, then "}}".
+_CANONICAL_PREFIX = b'{"schema": 1, "values": {'
+_NUMBER_BYTES = b"0123456789.eE+-"
+_SKELETON_PREFIX = _CANONICAL_PREFIX.translate(None, _NUMBER_BYTES)
+_SKELETON_ENTRY = b'"": [, ], '
+# quotes and brackets become blanks, colons commas, and the values object
+# one array: every site, re and im in a row
+_FLAT = bytes.maketrans(b'"[]:{}', b"   ,[]")
+_DECODER = json.JSONDecoder()
+
+
+def _canonical_seeds(data: bytes) -> Seeds | None:
+    """The seeds of a file laid out exactly as json.dumps writes
+    ``{"schema": 1, "values": {...}}``, read as one flat array of numbers;
+    None for any other file, which the general reader then reads.
+
+    Deleting the number bytes must leave the layout's skeleton, and no key
+    or part may be empty, so that each number sits where the layout puts
+    one.  Every site must then be an int within int64, named once, and
+    every part a finite number; a file that breaks any of these rules
+    ("01", "1.5", a NaN, 1e400, a site named twice) returns None too, so
+    that its error is the general reader's.
+    """
+    if not (data.startswith(_CANONICAL_PREFIX) and data.endswith(b"}}")):
+        return None
+    skeleton = data.translate(None, _NUMBER_BYTES)
+    count = (len(skeleton) - len(_SKELETON_PREFIX)) // len(_SKELETON_ENTRY)
+    if skeleton != _SKELETON_PREFIX + (_SKELETON_ENTRY * count)[:-2] + b"}}":
+        return None
+    if b'""' in data or b"[," in data or b" ]" in data:  # an empty key or part
+        return None
+    try:
+        flat = _DECODER.raw_decode(data.translate(_FLAT).decode("ascii"), len(_CANONICAL_PREFIX) - 1)[0]
+    except ValueError:  # a token that is not one JSON number, or an int() too long
+        return None
+    sites = np.array(flat[0::3])
+    if sites.dtype != np.int64:  # a float site, or one beyond int64 (or no site at all)
+        return None
+    del flat[0::3]
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an int beyond the doubles
+        return None
+    del flat  # before Seeds copies the arrays
+    ordered = sites if (sites[1:] > sites[:-1]).all() else np.sort(sites)  # np.unique is slower
+    if (ordered[1:] == ordered[:-1]).any() or not np.isfinite(values).all():
+        return None
+    return Seeds(sites, values.view(np.complex128))
+
+
 def _sites_of_keys(keys) -> np.ndarray:
     """The sites that a JSON object's keys name, as int64, converted in bulk.
 
@@ -77,7 +170,9 @@ def _sites_of_keys(keys) -> np.ndarray:
 
 
 def coin_from_json(obj) -> CoinMatrix:
-    """Read a coin from a parsed JSON document (wrapped or bare 3x3 array)."""
+    """Read a coin from a JSON document (wrapped or bare 3x3 array), parsed
+    or a file's bytes."""
+    obj = _document(obj)
     matrix = obj["matrix"] if isinstance(obj, dict) else obj
     return make_coin(np.array([_complex_array(row, "coin entry") for row in matrix]))
 
@@ -125,14 +220,21 @@ def measure_to_csv(measure: Measure, closed_form: np.ndarray | None = None) -> s
 
 
 def seeds_from_json(obj) -> Seeds:
-    """Read Type 2 seeds from a parsed document, ``{"values": {site: [re, im]}}``
-    or the bare mapping.
+    """Read Type 2 seeds from a document, ``{"values": {site: [re, im]}}``
+    or the bare mapping, parsed or a file's bytes.
 
     Every key must be an integer in ASCII digits, and no site may be named
     twice ("1" and "01" are one site).  Every value must be an array of two JSON
     numbers.  The values are copied into the arrays of a :class:`Seeds` in
-    bulk, without a Python number per seed.
+    bulk, without a Python number per seed.  A file in the layout json.dumps
+    writes is read in one flat pass (_canonical_seeds), any other by the
+    general reader, with the same result and the same errors.
     """
+    if isinstance(obj, bytes):
+        seeds = _canonical_seeds(obj)
+        if seeds is not None:
+            return seeds
+    obj = _document(obj)
     values = obj["values"] if isinstance(obj, dict) and "values" in obj else obj
     pairs = list(values.values())
     return Seeds(_sites_of_keys(values), _complex_array(pairs, "seed value"))

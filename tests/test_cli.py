@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwstat import cli, evolve, fourier, grover, make_coin, measure_of, type1_params, type1_state
+from qwstat import cli, evolve, fourier, grover, make_coin, measure_of, serialize, type1_params, type1_state
 from qwstat.cli import (
     EXIT_CLASSIFY,
     EXIT_DRIFT,
@@ -33,11 +33,36 @@ def coin_doc(coin, convert=float):
     return {"schema": 1, "matrix": rows}
 
 
+# What json.dumps writes first for a seeds file with "schema": 1.
+DUMPS_PREFIX = '{"schema": 1, '
 # Files that give one key twice, which a Python dict cannot hold, so kept as text.
 SEEDS_TWICE = '{"values": {"0": [1, 0], "0": [5, 0]}}'
 MATRIX_TWICE = '{{"matrix": {}, "matrix": {}}}'.format(
     *(json.dumps(coin_doc(coin)["matrix"]) for coin in (grover(), fourier()))
 )
+
+
+# (kind, document or text) of input files that exit 4 as malformed
+MALFORMED_FILES = [
+    ("seeds", {"values": {"0": 5}}),
+    ("seeds", {"values": {"0": [None, 1]}}),
+    ("seeds", {"values": [1, 2]}),
+    ("coin", {"matrix": 3}),
+    ("coin", [[1, 0], [0, 1]]),
+    ("seeds", {"values": {"0": "12"}}),
+    ("seeds", {"values": {"0": ["1.5", 2]}}),
+    ("seeds", {"values": {"0": [True, False]}}),
+    ("seeds", {"values": {"1": [1.0, 0.0], "01": [2.0, 0.0]}}),
+    ("seeds", {"values": {"0": [1.0, 0.0, 0.0]}}),
+    ("seeds", {"values": {"0": [1.0, 0.0], str(2**64): [1.0, 0.0]}}),
+    ("seeds", {"values": {"0": [10**400, 0]}}),
+    ("coin", coin_doc(grover(), str)),
+    ("coin", coin_doc(grover(), bool)),
+    ("coin", coin_doc(grover(), lambda part: None)),
+    pytest.param("seeds", SEEDS_TWICE, id="seeds-repeated-key"),
+    pytest.param("coin", MATRIX_TWICE, id="coin-repeated-key"),
+    ("seeds", {"values": {"1_0": [1.0, 0.0]}}),  # int() reads it as site 10
+]
 
 
 class Obj(tuple):
@@ -76,9 +101,9 @@ class TestParsers:
         text = render(doc)
         if repeats_a_key(doc):
             with pytest.raises(ValueError, match="is given more than once"):
-                cli._parse_json(text)
+                serialize._parse_json(text)
         else:
-            assert cli._parse_json(text) == json.loads(text)
+            assert serialize._parse_json(text) == json.loads(text)
 
     def test_complex_literals(self):
         assert parse_complex("1+2i") == 1 + 2j
@@ -887,29 +912,7 @@ class TestMisc:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "error: the seeds give the zero state on this topology\n"
 
-    @pytest.mark.parametrize(
-        "kind, doc",
-        [
-            ("seeds", {"values": {"0": 5}}),
-            ("seeds", {"values": {"0": [None, 1]}}),
-            ("seeds", {"values": [1, 2]}),
-            ("coin", {"matrix": 3}),
-            ("coin", [[1, 0], [0, 1]]),
-            ("seeds", {"values": {"0": "12"}}),
-            ("seeds", {"values": {"0": ["1.5", 2]}}),
-            ("seeds", {"values": {"0": [True, False]}}),
-            ("seeds", {"values": {"1": [1.0, 0.0], "01": [2.0, 0.0]}}),
-            ("seeds", {"values": {"0": [1.0, 0.0, 0.0]}}),
-            ("seeds", {"values": {"0": [1.0, 0.0], str(2**64): [1.0, 0.0]}}),
-            ("seeds", {"values": {"0": [10**400, 0]}}),
-            ("coin", coin_doc(grover(), str)),
-            ("coin", coin_doc(grover(), bool)),
-            ("coin", coin_doc(grover(), lambda part: None)),
-            pytest.param("seeds", SEEDS_TWICE, id="seeds-repeated-key"),
-            pytest.param("coin", MATRIX_TWICE, id="coin-repeated-key"),
-            ("seeds", {"values": {"1_0": [1.0, 0.0]}}),  # int() reads it as site 10
-        ],
-    )
+    @pytest.mark.parametrize("kind, doc", MALFORMED_FILES)
     def test_malformed_input_file(self, tmp_path, capsys, kind, doc):
         path = tmp_path / "input.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -921,6 +924,99 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: malformed {kind} file {path}: " in captured.err
+
+    @pytest.mark.parametrize(
+        "doc", [doc for kind, doc in (getattr(case, "values", case) for case in MALFORMED_FILES) if kind == "seeds"]
+    )
+    def test_malformed_seeds_file_in_the_dumps_layout(self, tmp_path, capsys, doc):
+        # the same documents with "schema": 1 first, as json.dumps writes
+        # them, reach the flat reader: each must exit 4 with the message of
+        # the general reader, which reads them with a trailing newline
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        text = DUMPS_PREFIX + text[len("{"):]
+        path = tmp_path / "seeds.json"
+        argv = ["verify", "--coin", "grover", "--type", "2", "--seeds", str(path)]
+        errors = []
+        for layout in (text, text + "\n"):
+            path.write_text(layout)
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: malformed seeds file {path}: ")
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ('{"schema": 1, "values": {}}', EXIT_INPUT,
+             "the seeds give the zero state on this topology"),
+            ('{"schema": 1, "values": {"-0": [1, 0], "0": [2, 0]}}', EXIT_INPUT,
+             "malformed seeds file {path}: seed site 0 is given more than once"),
+            ('{"schema": 1, "values": {"0": [NaN, 0]}}', EXIT_INPUT,
+             "malformed seeds file {path}: seed values must be finite"),
+            ('{"schema": 1, "values": {"0": [1e400, 0]}}', EXIT_INPUT,
+             "malformed seeds file {path}: seed values must be finite"),
+            ('\ufeff{"schema": 1, "values": {"0": [1, 0]}}', EXIT_INPUT,
+             "cannot read seeds file {path}: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+             "line 1 column 1 (char 0)"),
+            ('{"schema": 1, "values": {"1.5": [1, 0]}}', EXIT_INPUT,
+             "malformed seeds file {path}: site key '1.5' is not an integer in ASCII digits"),
+            ('{"schema": 1, "values": {"0": [1, 0], "1e3": [1, 0]}}', EXIT_INPUT,
+             "malformed seeds file {path}: site key '1e3' is not an integer in ASCII digits"),
+            # a number moved out of its place next to an empty key or part
+            ('{"schema": 1, "values": {""5: [1, 2]}}', EXIT_INPUT,
+             "cannot read seeds file {path}: Expecting ':' delimiter: line 1 column 28 (char 27)"),
+            ('{"schema": 1, "values": {"0":5 [, 2]}}', EXIT_INPUT,
+             "cannot read seeds file {path}: Expecting ',' delimiter: line 1 column 32 (char 31)"),
+            ('{"schema": 1, "values": {"0": 5[, 2]}}', EXIT_INPUT,
+             "cannot read seeds file {path}: Expecting ',' delimiter: line 1 column 32 (char 31)"),
+            ('{"schema": 1, "values": {"0": [1, 2]5}}', EXIT_INPUT,
+             "cannot read seeds file {path}: Expecting ',' delimiter: line 1 column 37 (char 36)"),
+        ],
+        ids=["empty", "minus-zero-and-zero", "nan", "1e400", "bom", "float-key", "exponent-key",
+             "key-after-quotes", "part-after-colon", "part-before-bracket", "number-after-bracket"],
+    )
+    def test_dumps_layout_errors(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "seeds.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["stationary", "--coin", "grover", "--type", "2", "--topology", "cycle:4"]
+        assert main([*argv, "--seeds", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize(
+        "text, same_as",
+        [
+            ('{"schema": 1, "values": {"0": [1, 0]}}\n', '{"schema": 1, "values": {"0": [1, 0]}}'),
+            ('{"schema": 1, "values": {"01": [1, 0]}}', '{"schema": 1, "values": {"1": [1, 0]}}'),
+            ('{"schema": 1, "values": {"0": [1,2 ]}}', '{"schema": 1, "values": {"0": [1, 2]}}'),
+        ],
+        ids=["trailing-newline", "leading-zero", "blank-moved"],
+    )
+    def test_other_layouts_read_alike(self, tmp_path, capsys, text, same_as):
+        outputs = []
+        for layout in (text, same_as):
+            path = tmp_path / "seeds.json"
+            path.write_text(layout)
+            argv = ["stationary", "--coin", "grover", "--type", "2", "--topology", "cycle:4"]
+            assert main([*argv, "--seeds", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    def test_a_dense_file_reads_alike_in_both_layouts(self, tmp_path, capsys):
+        # the flat reader (json.dumps's layout) and the general one (indent=1)
+        z = np.random.default_rng(3).standard_normal((300, 2)).tolist()
+        doc = {"schema": 1, "values": {str(x): pair for x, pair in enumerate(z)}}
+        outputs = []
+        for indent in (None, 1):
+            path = tmp_path / f"seeds{indent}.json"
+            path.write_text(json.dumps(doc, indent=indent))
+            argv = ["stationary", "--coin", "grover", "--type", "2", "--topology", "cycle:300"]
+            assert main([*argv, "--seeds", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_a_site_key_past_the_int_digit_limit_is_named(self, tmp_path, capsys):
         path = tmp_path / "seeds.json"
@@ -937,8 +1033,11 @@ class TestMisc:
             ("seeds", SEEDS_TWICE, "0"),
             ("coin", MATRIX_TWICE, "matrix"),
             ("seeds", '{"note": "a:b", "values": {"1": [1, 0], "1": [5, 0]}}', "1"),
+            # the layout json.dumps writes, which the flat reader declines
+            ("seeds", DUMPS_PREFIX + SEEDS_TWICE[len("{"):], "0"),
+            ("seeds", DUMPS_PREFIX + '"values": {"1": [1, 0], "1": [5, 0]}, "note": "a:b"}', "1"),
         ],
-        ids=["seeds", "coin", "seeds-and-a-colon-in-a-string"],
+        ids=["seeds", "coin", "seeds-and-a-colon-in-a-string", "dumps-layout", "dumps-layout-and-a-colon"],
     )
     def test_repeated_key_is_named(self, tmp_path, capsys, kind, text, key):
         path = tmp_path / "input.json"

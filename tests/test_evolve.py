@@ -249,6 +249,16 @@ class TestEigenResidual:
         assert np.isnan(residual) and np.isnan(residual.relative)
         assert residual.site == residual.relative_site == site
 
+    @pytest.mark.parametrize(("topology", "site"), [(Cycle(5), 0), (Window(4), -3)])
+    def test_an_overflowing_amplitude_gives_a_non_finite_residual_without_a_warning(self, topology, site):
+        # finite amplitudes of 1e308 overflow in the complex products and in
+        # the difference: a non-finite residual from the first checked site,
+        # and no RuntimeWarning (an error here)
+        amps = np.full((topology.n_sites, 3), 1e308, dtype=complex)
+        residual = eigen_residual(grover(), WaveState(topology, amps), -1)
+        assert not np.isfinite(residual)
+        assert residual.site == site
+
     def test_rejects_non_unimodular(self):
         coin = grover()
         state = type1_state(coin, type1_params(coin), 1, 0, Cycle(5))
@@ -792,10 +802,10 @@ class TestRing:
         self.check(coin, state, n_steps)
 
     def test_memory(self):
-        # at this size a block is one step: two slots of 48 bytes a site and
-        # the block's measure of 8, no array of its own for step 0, and no
-        # copy of the state's weights
-        n = 99_999
+        # on the largest cycle the ring runs, a block is one step: two slots
+        # of 48 bytes a site and the block's measure of 8, no array of its
+        # own for step 0, and no copy of the state's weights
+        n = evolve.TILES_FROM - 1
         state = random_state(Cycle(n), np.random.default_rng(4))
         mu0 = state._weights()
         tracemalloc.start()
@@ -850,3 +860,123 @@ class TestRing:
         bound = 8 * np.finfo(float).eps * (np.abs(a) @ np.abs(x))
         assert (np.abs(got[:, 0] - want.real) <= bound).all()
         assert (np.abs(got[:, 1] - want.imag) <= bound).all()
+
+
+CROSSOVER = evolve.TILES_FROM
+TILE_COINS = [
+    pytest.param(grover(), id="grover"),
+    pytest.param(fourier(), id="fourier"),
+    pytest.param(stefanak_rho(0.4), id="stefanak_rho"),
+    pytest.param(random_coin(np.random.default_rng(29)), id="random"),
+]
+
+
+class TestTiles:
+    """Cycles from TILES_FROM sites evolve in tiles, which must give the
+    ring's drifts and final measure bit for bit."""
+
+    @staticmethod
+    def both(coin, state, n_steps):
+        mu0 = state._weights()
+        ring = evolve._ring_trace(coin.matrix, state.amplitudes, mu0, n_steps, False)
+        width = evolve._tile_width(n_steps)
+        tiles = evolve._tile_trace(coin.matrix, state.amplitudes, mu0, n_steps, width)
+        return ring, tiles
+
+    @pytest.mark.parametrize("coin", TILE_COINS)
+    @pytest.mark.parametrize(
+        "n", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 99_999, 300_000],
+        ids=["crossover-1", "crossover", "crossover+1", "99999-partial-tile", "300000"],
+    )
+    def test_match_the_ring_bit_for_bit(self, coin, n):
+        assert n % evolve.TILE != 0  # a partial last tile at every size
+        state = random_state(Cycle(n), np.random.default_rng(n))
+        (ring_drifts, ring_mu), (drifts, mu) = self.both(coin, state, 100)
+        assert drifts.tobytes() == ring_drifts.tobytes()
+        assert mu.tobytes() == ring_mu.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 600])
+    def test_runs_of_other_lengths_match_the_ring(self, n_steps):
+        # 600 steps widen the tiles past TILE, so that the halos stay small
+        assert (evolve._tile_width(n_steps) > evolve.TILE) == (n_steps == 600)
+        state = random_state(Cycle(CROSSOVER), np.random.default_rng(n_steps))
+        (ring_drifts, ring_mu), (drifts, mu) = self.both(random_coin(np.random.default_rng(5)), state, n_steps)
+        assert drifts.tobytes() == ring_drifts.tobytes()
+        assert mu.tobytes() == ring_mu.tobytes()
+
+    @pytest.mark.parametrize(
+        ("topology", "tiles"),
+        [
+            (Cycle(CROSSOVER - 1), False),
+            (Cycle(CROSSOVER), True),
+            (Window(CROSSOVER), False),  # windows stay on the ring
+        ],
+        ids=["below", "at", "window"],
+    )
+    def test_cycles_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
+        calls = []
+        tile_trace = evolve._tile_trace
+
+        def spying(*args):
+            calls.append(args)
+            return tile_trace(*args)
+
+        monkeypatch.setattr(evolve, "_tile_trace", spying)
+        state = random_state(topology, np.random.default_rng(1))
+        verify_stationary(grover(), state, 3)
+        assert len(calls) == tiles
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["last-own-site", "first-own-site"])
+    def test_defect_on_a_seam(self, offset):
+        # a Grover eigenstate with one site's amplitudes 1.5 times too large,
+        # at a seam between the first two tiles: the drifts of a loop of
+        # step calls, and the step where the largest one is
+        coin = grover()
+        topology = Cycle(CROSSOVER)
+        amps = type1_state(coin, type1_params(coin), 0.7, 0.2 + 0.1j, topology).amplitudes.copy()
+        seam = evolve.TILE + offset
+        amps[seam] *= 1.5
+        state = WaveState(topology, amps)
+        drifts, mu = evolve._drift_trace(coin.matrix, amps, state._weights(), 40, False)
+        want, leaked = step_loop_drifts(coin, state, 40)
+        assert np.abs(drifts - want).max() <= 1e-12
+        report = verify_stationary(coin, state, 40)
+        top = np.sort(want)
+        assert top[-1] - top[-2] > 1e-9  # a worst step the round-off cannot move
+        assert report.worst_step == int(np.argmax(want)) + 1
+        assert not report.passed
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["last-own-site", "first-own-site"])
+    @pytest.mark.parametrize("channel", [0, 2])
+    def test_nan_on_a_seam(self, offset, channel):
+        # every tile but the two at the seam stays finite: the merge of the
+        # tiles' drifts must keep the NaN, from the first step on
+        topology = Cycle(CROSSOVER)
+        rng = np.random.default_rng(23)
+        coin = random_coin(rng)
+        amps = random_state(topology, rng).amplitudes.copy()
+        amps[evolve.TILE + offset, channel] = np.nan
+        state = WaveState(topology, amps)
+        drifts, _ = evolve._drift_trace(coin.matrix, amps, state._weights(), 5, False)
+        want, _ = step_loop_drifts(coin, state, 5)
+        assert np.isnan(want).all() and np.isnan(drifts).all()
+        report = verify_stationary(coin, state, 5)
+        assert np.isnan(report.max_measure_drift) and report.worst_step == 1
+
+    def test_memory(self):
+        # two slots of a tile and its halos, 48 bytes a site each, the tile's
+        # drifts of 8 bytes a site and the final measure of 8 bytes a site of
+        # the cycle: no array as large as a state
+        n, n_steps = 99_999, 100
+        state = random_state(Cycle(n), np.random.default_rng(4))
+        mu0 = state._weights()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evolve._drift_trace(grover().matrix, state.amplitudes, mu0, n_steps, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = evolve._tile_width(n_steps)
+        assert peak <= 2 * 48 * (width + 2 * n_steps + 3) + 8 * width + 8 * n + 64 * 1024
+        assert peak < state.amplitudes.nbytes / 2

@@ -22,6 +22,7 @@ from qwstat import (
     type2_params,
     type2_state,
 )
+from qwstat import serialize
 from qwstat.serialize import (
     coin_from_json,
     measure_to_csv,
@@ -264,6 +265,117 @@ def test_site_key_past_the_int_digit_limit_does_not_fit(key):
 def test_seed_sites_at_the_int64_limits():
     seeds = seeds_from_json({"values": {str(2**63 - 1): [1, 0], str(-(2**63)): [0, 1]}})
     assert seeds.sites.tolist() == [-(2**63), 2**63 - 1] and seeds.values.tolist() == [1j, 1.0]
+
+
+def read_outcome(read, data: bytes):
+    """What a reader makes of a file's bytes: the Seeds' bytes, or the
+    type and message of the error it raises."""
+    try:
+        seeds = read(data)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return seeds.sites.tobytes(), seeds.values.tobytes()
+
+
+def general_reader(data: bytes) -> Seeds:
+    """The reader of any layout: the parsed document's seeds."""
+    return seeds_from_json(serialize._document(data))
+
+
+INT64_EDGES = [0, -1, 1, 2**63 - 1, -(2**63), 2**63 - 2, -(2**63) + 1]
+PART_EDGES = [0, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+              1.7976931348623157e308, 2**53 + 1, -(2**64)]
+dumps_entries = st.lists(
+    st.tuples(
+        st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES),
+        *[st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+          | st.sampled_from(PART_EDGES)] * 2,
+    ),
+    min_size=1, max_size=12, unique_by=lambda entry: entry[0],
+)
+
+
+def dumps_tokens(entries, minus_zero: bool) -> list[str]:
+    """The number tokens json.dumps writes for the entries, site, re, im in
+    a row; site 0 as "-0" if asked."""
+    tokens = []
+    for site, re_part, im_part in entries:
+        key = "-0" if minus_zero and site == 0 else str(site)
+        tokens += [key, json.dumps(re_part), json.dumps(im_part)]
+    return tokens
+
+
+def dumps_layout(tokens: list[str]) -> bytes:
+    entries = (f'"{k}": [{a}, {b}]' for k, a, b in zip(tokens[0::3], tokens[1::3], tokens[2::3]))
+    return ('{"schema": 1, "values": {' + ", ".join(entries) + "}}").encode()
+
+
+class TestDumpsLayout:
+    """Seeds files in json.dumps's layout are read in one flat pass; every
+    result and every error must be the general reader's."""
+
+    @given(entries=dumps_entries, minus_zero=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_reads_what_the_general_reader_reads(self, entries, minus_zero):
+        data = dumps_layout(dumps_tokens(entries, minus_zero))
+        doc = {"schema": 1, "values": {k: [a, b] for k, a, b in (
+            ("-0" if minus_zero and x == 0 else str(x), a, b) for x, a, b in entries)}}
+        assert data == json.dumps(doc).encode()
+        assert serialize._canonical_seeds(data) is not None  # not declined
+        assert read_outcome(seeds_from_json, data) == read_outcome(general_reader, data)
+
+    @given(
+        entries=dumps_entries,
+        data=st.data(),
+        token=st.sampled_from([
+            "01", "00", "-01", "1.5", "1e3", "1E3", "-", "", "+1", "1.", ".5", "--1", "-0", "0",
+            "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", str(2**63),
+            str(-(2**63) - 1), str(2**64), "1" * 5000, "1" + "0" * 400, '"1"', "true", "null",
+            "[1]", "1 2", "1,2", "0x1", "1_0", "\u0661", "1:2", "{}",
+        ]) | st.text(alphabet='0123456789.eE+-"[]:, {}\n', max_size=5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_token_changed_reads_as_the_general_reader_reads_it(self, entries, data, token):
+        tokens = dumps_tokens(entries, False)
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = token
+        changed = dumps_layout(tokens)
+        assert read_outcome(seeds_from_json, changed) == read_outcome(general_reader, changed)
+
+    @given(
+        entries=dumps_entries,
+        data=st.data(),
+        edit=st.sampled_from(["delete", "insert", "replace"]),
+        byte=st.sampled_from(list(b'0123456789.eE+-"[]:, {}\n\r\t') + [0xEF, 0xFF]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_byte_changed_reads_as_the_general_reader_reads_it(self, entries, data, edit, byte):
+        text = dumps_layout(dumps_tokens(entries, False))
+        i = data.draw(st.integers(0, len(text) - 1))
+        new = bytes([byte])
+        changed = {"delete": text[:i] + text[i + 1:], "insert": text[:i] + new + text[i:],
+                   "replace": text[:i] + new + text[i + 1:]}[edit]
+        assert read_outcome(seeds_from_json, changed) == read_outcome(general_reader, changed)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema": 1, "values": {""5: [1, 2]}}',
+            '{"schema": 1, "values": {"0":5 [, 2]}}',
+            '{"schema": 1, "values": {"0": 5[, 2]}}',
+            '{"schema": 1, "values": {"0": [1,5 ]}}',
+            '{"schema": 1, "values": {"0": [1, 2]5}}',
+            '{"schema": 1, "values": {"0": [1, 2],5 "1": [3, 4]}}',
+            '{"schema": 1, "values": {"0": [1, 2], 5"1": [3, 4]}}',
+            '{"schema": 1, "values": {"0": 5}}',
+            '{"schema": 1, "values": {"0": [[1, 2], 3]}}',
+        ],
+    )
+    def test_a_number_out_of_its_place_is_not_read_flat(self, text):
+        # the skeleton stays the layout's, but the number is not where the
+        # layout puts one: the general reader decides
+        data = text.encode()
+        assert serialize._canonical_seeds(data) is None
+        assert read_outcome(seeds_from_json, data) == read_outcome(general_reader, data)
 
 
 class TestSeeds:

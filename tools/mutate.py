@@ -126,9 +126,13 @@ MUTANTS = [
     Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore", invalid="ignore"):',
            "with np.errstate():", (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
     Mutant("residual-inf-warns", "evolve.py",
-           'with np.errstate(invalid="ignore"):  # a non-finite state gives a NaN residual',
+           'with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual, no warning',
            "with np.errstate():",
            (f"{EVOLVE}::TestEigenResidual::test_an_infinite_amplitude_gives_nan_without_a_warning",)),
+    Mutant("residual-overflow-warns", "evolve.py",
+           'with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual, no warning',
+           'with np.errstate(invalid="ignore"):',
+           (f"{EVOLVE}::TestEigenResidual::test_an_overflowing_amplitude_gives_a_non_finite_residual_without_a_warning",)),
     Mutant("leaked-not-clamped", "evolve.py", "leaked = float(np.maximum(norm0 - norm, 0.0))",
            "leaked = float(abs(norm0 - norm))",
            (f"{EVOLVE}::TestVerifyStationary::test_a_cycle_leaks_nothing_when_its_norm_rounds_up",)),
@@ -147,6 +151,11 @@ MUTANTS = [
            (f"{EVOLVE}::TestRing::test_matches_step_loop",)),
     Mutant("ring-one-array", "evolve.py", "halves[k0 // block % 2]", "halves[0]",
            (f"{EVOLVE}::TestRing",)),
+    # the tiles of large cycles: a halo of n_steps sites, and a merge that keeps a NaN
+    Mutant("tile-halo-one-short", "evolve.py", "halo = n_steps", "halo = n_steps - 1",
+           (f"{EVOLVE}::TestTiles",)),
+    Mutant("tile-drift-merge-fmax", "evolve.py", "np.maximum(drifts, tile_drifts, out=drifts)",
+           "np.fmax(drifts, tile_drifts, out=drifts)", (f"{EVOLVE}::TestTiles::test_nan_on_a_seam",)),
     Mutant("cone-not-wrapping", "evolve.py", "ring = np.concatenate((near[-1:], near, near[:1]))",
            "ring = np.concatenate((near[:1], near, near[-1:]))",
            (f"{EVOLVE}::TestEigenResidual::test_relative_site_by_site",)),
@@ -165,6 +174,16 @@ MUTANTS = [
     Mutant("long-site-key-falls-through", "serialize.py",
            '    raise ValueError("site index does not fit in 64 bits")\n\n', "\n",
            (f"{SERIALIZE}::test_site_key_past_the_int_digit_limit_does_not_fit",)),
+    # the flat reader of json.dumps's layout reads a file only where the general one gives the same
+    Mutant("seeds-skeleton-unchecked", "serialize.py",
+           'if skeleton != _SKELETON_PREFIX + (_SKELETON_ENTRY * count)[:-2] + b"}}":', "if False:",
+           (f"{SERIALIZE}::TestDumpsLayout", "tests/test_cli.py::TestMisc::test_malformed_seeds_file_in_the_dumps_layout")),
+    Mutant("seeds-float-sites-accepted", "serialize.py", "if sites.dtype != np.int64:",
+           'if sites.dtype.kind not in "if":',
+           ("tests/test_cli.py::TestMisc::test_dumps_layout_errors", f"{SERIALIZE}::TestDumpsLayout")),
+    Mutant("seeds-empty-slot-unchecked", "serialize.py",
+           """if b'""' in data or b"[," in data or b" ]" in data:""", "if False:",
+           (f"{SERIALIZE}::TestDumpsLayout::test_a_number_out_of_its_place_is_not_read_flat",)),
     Mutant("csv-str-not-repr", "serialize.py", 'rows = [f"{x},{v!r}\\n" for x, v in zip(xs, mus)]',
            'rows = [f"{x},{v}\\n" for x, v in zip(xs, mus)]', (SERIALIZE,)),
 ]
