@@ -123,8 +123,9 @@ MUTANTS = [
            (f"{EVOLVE}::TestRelativeDrift::test_a_scale_of_exactly_min_scale_passes",)),
     Mutant("verify-norm-check-dropped", "evolve.py", "math.isfinite(norm0) and ", "",
            (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
-    Mutant("norm-overflow-warns", "evolve.py", 'with np.errstate(over="ignore", invalid="ignore"):',
-           "with np.errstate():", (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
+    Mutant("norm-overflow-warns", "evolve.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n        drifts, mu = _drift_trace(',
+           "with np.errstate():\n        drifts, mu = _drift_trace(", (f"{EVOLVE}::TestRelativeDrift::test_a_squared_norm_that_overflows_fails",)),
     Mutant("residual-inf-warns", "evolve.py",
            'with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual, no warning',
            "with np.errstate():",
