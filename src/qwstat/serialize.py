@@ -114,9 +114,9 @@ def _canonical_seeds(data: bytes) -> Seeds | None:
     Deleting the number bytes must leave the layout's skeleton, and no key
     or part may be empty, so that each number sits where the layout puts
     one.  Every site must then be an int within int64, named once, and
-    every part a finite number; a file that breaks any of these rules
-    ("01", "1.5", a NaN, 1e400, a site named twice) returns None too, so
-    that its error is the general reader's.
+    every part a finite number.  A file that breaks any of these rules
+    ("01", "1.5", a NaN, 1e400, a site named twice) returns None too, and
+    the general reader reads it or names its error.
     """
     if not (data.startswith(_CANONICAL_PREFIX) and data.endswith(b"}}")):
         return None
