@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import gc
 import json
 import math
 import os
@@ -140,23 +139,13 @@ def _read_json_file(path: Path, what: str, parse):
     """parse() of the bytes of path, a serialize reader.  A file that cannot
     be read, is not JSON, repeats a key or does not have the structure
     parse() expects raises a UsageError naming the file (exit 4).
-
-    The cyclic garbage collector is paused while the file is decoded and
-    parsed: a seeds file holds one small list per site, and the 1e5 of a
-    large one would set off about 140 collections that free nothing.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        try:
-            return parse(path.read_bytes())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read {what} file {path}: {exc}")
+        return parse(path.read_bytes())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc}")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed {what} file {path}: {exc}")
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def resolve_tol(explicit: float | None) -> tuple[float, str]:

@@ -38,10 +38,11 @@ from .tolerance import DRIFT_TOL, MIN_SCALE
 __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 
 # Bytes of step states one block of _drift_trace may hold (48 per site):
-# small states run many steps per reduction, large ones one.  Timed at
-# N = 30, 81, 401, 2000 and 99 999 with budgets of 16 KiB to 2 MiB on a
-# 2-core Xeon: smaller budgets were slower at N = 401, larger ones no
-# faster, and they cost memory.
+# small states run many steps per reduction, large ones one.  On a 2-core
+# Xeon, budgets below 128 KiB were slower at N = 401.  Bare _ring_trace
+# loops took 0.76-0.81x the time with 384-768 KiB at N = 401, 1001 (windows)
+# and 2000 (a cycle), and 1.39x with 1 MiB at N = 401; cli_small's commands
+# took 5.8-6.7% more wall time with 512 KiB and 2.8-3.3% less with 384 KiB.
 BUDGET = 128 * 1024
 
 # Cycles of at least TILES_FROM sites evolve in tiles that own TILE sites

@@ -6,7 +6,10 @@ the float64 view of a complex128 array; every emitted JSON document carries
 round-trips doubles exactly.  Coins and seeds are read, not written;
 states and measures are written, not read.  The readers take a parsed
 document or a file's bytes; in a file, an object that names a key twice is
-an error.
+an error.  A seeds file in the layout json.dumps writes is read flat, with
+no Python container per site (_canonical_seeds); every other file is read
+by the general reader, the reference: json.loads with a pairs hook
+(_parse_json).  Neither reader pauses the garbage collector.
 """
 
 from __future__ import annotations
@@ -66,23 +69,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-class _ObjectSizes(list):
-    """A json object_hook that keeps the number of entries of each object it sees."""
-
-    def __call__(self, obj: dict) -> dict:
-        self.append(len(obj))
-        return obj
-
-
 def _parse_json(text: str):
-    """json.loads(text), but an object naming a key twice raises ValueError.
-    Outside strings JSON has one colon per key, so the colons outnumber the
-    decoded entries only if a key repeats or a string holds a colon."""
-    sizes = _ObjectSizes()
-    obj = json.loads(text, object_hook=sizes)
-    if text.count(":") != sum(sizes):
-        json.loads(text, object_pairs_hook=_unique_keys)
-    return obj
+    """json.loads(text), but an object naming a key twice raises ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def _document(doc):
@@ -113,10 +102,10 @@ def _canonical_seeds(data: bytes) -> Seeds | None:
 
     Deleting the number bytes must leave the layout's skeleton, and no key
     or part may be empty, so that each number sits where the layout puts
-    one.  Every site must then be an int within int64, named once, and
-    every part a finite number.  A file that breaks any of these rules
-    ("01", "1.5", a NaN, 1e400, a site named twice) returns None too, and
-    the general reader reads it or names its error.
+    one.  Every site must then be an int within int64, and Seeds must take
+    the arrays (no site named twice, every part finite).  A file breaking a
+    rule ("01", "1.5", a NaN, 1e400, a site named twice) returns None too,
+    and the general reader reads it or names its error.
     """
     if not (data.startswith(_CANONICAL_PREFIX) and data.endswith(b"}}")):
         return None
@@ -139,10 +128,10 @@ def _canonical_seeds(data: bytes) -> Seeds | None:
     except OverflowError:  # an int beyond the doubles
         return None
     del flat  # before Seeds copies the arrays
-    ordered = sites if (sites[1:] > sites[:-1]).all() else np.sort(sites)  # np.unique is slower
-    if (ordered[1:] == ordered[:-1]).any() or not np.isfinite(values).all():
+    try:
+        return Seeds(sites, values.view(np.complex128))
+    except ValueError:  # a site named twice, or a part that is not finite
         return None
-    return Seeds(sites, values.view(np.complex128))
 
 
 def _sites_of_keys(keys) -> np.ndarray:
@@ -153,20 +142,14 @@ def _sites_of_keys(keys) -> np.ndarray:
     it, although int() would read some ("1_0" as 10, " 2 " as 2, "+3" as 3),
     and so does a site that does not fit in 64 bits.
     """
-    joined = "".join(keys)
-    if not joined or (joined.isascii() and joined.replace("-", "").isdigit()):
-        try:
-            return np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
-        except OverflowError:
-            raise ValueError("site index does not fit in 64 bits") from None
-        except ValueError:  # an empty key, or a "-" after the first character
-            pass
     for key in keys:
         digits = key.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"site key {key!r} is not an integer in ASCII digits")
-    # every key is digits now, so int() refused one for its length alone
-    raise ValueError("site index does not fit in 64 bits")
+    try:
+        return np.fromiter(map(int, keys), np.int64, len(keys))
+    except (OverflowError, ValueError):  # beyond int64, or more digits than int() reads
+        raise ValueError("site index does not fit in 64 bits") from None
 
 
 def coin_from_json(obj) -> CoinMatrix:
@@ -226,9 +209,10 @@ def seeds_from_json(obj) -> Seeds:
     Every key must be an integer in ASCII digits, and no site may be named
     twice ("1" and "01" are one site).  Every value must be an array of two JSON
     numbers.  The values are copied into the arrays of a :class:`Seeds` in
-    bulk, without a Python number per seed.  A file in the layout json.dumps
-    writes is read in one flat pass (_canonical_seeds), any other by the
-    general reader, with the same result and the same errors.
+    bulk.  A file in the layout json.dumps writes is read in one flat pass
+    (_canonical_seeds); any other file, and any file that pass declines, is
+    read by json.loads with a pairs hook (_parse_json), the reference, which
+    gives the same result or names the error.
     """
     if isinstance(obj, bytes):
         seeds = _canonical_seeds(obj)

@@ -105,6 +105,23 @@ class TestParsers:
         else:
             assert serialize._parse_json(text) == json.loads(text)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"note": "a:b", "values": {"1": [1, 0]}}', None),
+            ('{"a": {"b": {"c": 1, "c": 2}}}', "key 'c' is given more than once"),
+            ('{"k": "x:y", "k": 1}', "key 'k' is given more than once"),
+        ],
+        ids=["colon-in-a-string", "repeated-two-objects-deep", "repeated-next-to-a-colon-in-a-string"],
+    )
+    def test_json_reader_where_colons_outnumber_entries(self, text, error):
+        # inputs whose colons outnumber their decoded entries
+        if error is None:
+            assert serialize._parse_json(text) == json.loads(text)
+        else:
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                serialize._parse_json(text)
+
     def test_complex_literals(self):
         assert parse_complex("1+2i") == 1 + 2j
         assert parse_complex("-0.5i") == -0.5j

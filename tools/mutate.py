@@ -173,8 +173,10 @@ MUTANTS = [
            tuple(f"{SERIALIZE}::test_state_round_trip_{name}" for name in (
                "preserves_measure_exactly", "on_window", "keeps_every_bit"))),
     Mutant("long-site-key-falls-through", "serialize.py",
-           '    raise ValueError("site index does not fit in 64 bits")\n\n', "\n",
+           "except (OverflowError, ValueError):  # beyond int64", "except OverflowError:  # beyond int64",
            (f"{SERIALIZE}::test_site_key_past_the_int_digit_limit_does_not_fit",)),
+    Mutant("duplicate-key-unchecked", "serialize.py", "object_pairs_hook=_unique_keys", "object_pairs_hook=dict",
+           ("tests/test_cli.py::TestMisc::test_repeated_key_is_named",)),
     # the flat reader of json.dumps's layout reads a file only where the general one gives the same
     Mutant("seeds-skeleton-unchecked", "serialize.py",
            'if skeleton != _SKELETON_PREFIX + (_SKELETON_ENTRY * count)[:-2] + b"}}":', "if False:",
@@ -182,6 +184,10 @@ MUTANTS = [
     Mutant("seeds-float-sites-accepted", "serialize.py", "if sites.dtype != np.int64:",
            'if sites.dtype.kind not in "if":',
            ("tests/test_cli.py::TestMisc::test_dumps_layout_errors", f"{SERIALIZE}::TestDumpsLayout")),
+    Mutant("seeds-invalid-not-declined", "serialize.py",
+           "except ValueError:  # a site named twice, or a part that is not finite\n        return None",
+           "except ValueError:  # a site named twice, or a part that is not finite\n        raise",
+           ("tests/test_cli.py::TestMisc::test_repeated_key_is_named",)),
     Mutant("seeds-empty-slot-unchecked", "serialize.py",
            """if b'""' in data or b"[," in data or b" ]" in data:""", "if False:",
            (f"{SERIALIZE}::TestDumpsLayout::test_a_number_out_of_its_place_is_not_read_flat",)),
