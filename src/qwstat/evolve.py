@@ -16,10 +16,11 @@ kernel keeps each step's state in a slot of six real rows, the real and
 imaginary parts of the three channels, with a ghost cell at each end of a
 row.  A step is one real matmul of the coin's 6x6 real form that writes
 channel c of A x c - 1 sites to the right, which applies the shifts
-without copying.  Windows and small cycles run in a ring of slots whose
-measures and drifts are reduced once per block of steps, as many states
-as fit in ``BUDGET`` bytes; large cycles run in tiles small enough to stay
-in cache, each evolved alone with a halo as wide as the run is long.
+without copying.  The steps run in a ring of slots whose measures and
+drifts are reduced once per block of steps, as many states as fit in
+``BUDGET`` bytes.  A state of ``TILES_FROM`` sites or more runs in tiles
+small enough to stay in cache, each a run of the same ring over its own
+sites and a halo as wide as the run is long, clipped at a window's edges.
 """
 
 from __future__ import annotations
@@ -45,15 +46,17 @@ __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 # took 5.8-6.7% more wall time with 512 KiB and 2.8-3.3% less with 384 KiB.
 BUDGET = 128 * 1024
 
-# Cycles of at least TILES_FROM sites evolve in tiles that own TILE sites
-# or more (see _tile_trace), smaller ones in the ring.  Timed with Grover
+# States of at least TILES_FROM sites evolve in tiles that own TILE sites
+# or more (see _tile_trace), smaller ones in one ring.  Timed with Grover
 # and 100 steps on a 2-core Xeon with 2 MiB of L2 per core: the ring took
 # 14.4, 18.9, 25.0, 94.9 and 365 ms at N = 20 001, 24 000, 30 003, 99 999
 # and 300 000, tiles of 8192 sites 14.1, 15.6, 20.3, 78.4 and 212 ms;
 # tiles of 2048 or 4096 sites were slower at every size, and tiles of
 # 12 288 or 16 384 no faster.  At 1000 steps and N = 99 999 the ring took
 # 981 ms, tiles of 8192 sites 818 ms and of 16 384 sites 755 ms, so long
-# runs widen their tiles (_tile_width).
+# runs widen their tiles (_tile_width).  Windows tile from the same size: with
+# one BLAS thread, the ring took 22.0 and 146 ms at N = 24 001 and 100 001,
+# tiles 19.0 and 72.8 ms.
 TILES_FROM = 24_000
 TILE = 8192
 
@@ -249,15 +252,23 @@ def _drift_trace(
     does, so that mu0 may be the state's weights: a step that only moves
     amplitudes leaves them unchanged bit for bit.
 
-    A cycle of at least TILES_FROM sites, and of two tiles or more, runs
-    in tiles (_tile_trace), whose working set stays in cache; smaller
-    cycles and every window run in the ring (_ring_trace).  Both give the
-    same bits.
+    A state of at least TILES_FROM sites, and of two tiles or more, runs
+    in tiles (_tile_trace), whose working set stays in cache; a smaller
+    one in one ring (_ring_trace) over all its sites.  Each tile is a run
+    of the same ring, and both give the same bits.
     """
+    n = amps.shape[0]
+    r = _real_form(a)
+    distance = None
+    if windowed:  # each site's distance from the nearer edge, 4 bytes a site
+        distance = np.arange(n, dtype=np.int32)
+        np.minimum(distance, distance[::-1], out=distance)
     width = _tile_width(n_steps)
-    if not windowed and amps.shape[0] >= max(TILES_FROM, 2 * width):
-        return _tile_trace(a, amps, mu0, n_steps, width)
-    return _ring_trace(a, amps, mu0, n_steps, windowed)
+    if n >= max(TILES_FROM, 2 * width):
+        return _tile_trace(r, amps, mu0, n_steps, width, distance)
+    block = max(1, min(n_steps, BUDGET // (48 * n)))
+    bufs = [np.zeros((block, 6 * (n + 2) + 3)) for _ in range(2)]
+    return _ring_trace(r, amps, mu0, n_steps, bufs, 0, n, not windowed, 0, distance)
 
 
 def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -271,8 +282,8 @@ def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     further right (the stride between channels is one row pair plus one
     value), so that left(j) = y0(j+1), stay(j) = y1(j) and right(j) =
     y2(j-1).  The matmul never writes left at the last site or right at
-    the first: on a cycle the ring copies them from the ghost cells, which
-    hold the values that wrap, and on a window it keeps them at zero.
+    the first: a ring that wraps copies them from the ghost cells, which
+    hold the values that wrap, and any other keeps them at zero.
 
     Returns the matmul targets, the states, the two cells the matmul misses
     and the two ghost cells that wrap to them.
@@ -291,62 +302,63 @@ def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 
 def _ring_trace(
-    a: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, windowed: bool
+    r: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, bufs: list[np.ndarray],
+    start: int, span: int, wraps: bool, off: int, distance: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_drift_trace with every step in its own slot (see _slots) of a ring,
-    step 0 in the last slot.  On a window the slots keep the zeros they
-    were made with where no matmul writes, once step 0's are cleared.
+    """Evolve sites start..start + span - 1 of amps (see _gather) with the
+    coin's real form r, every step in its own slot (see _slots) of a ring,
+    step 0 in the last slot; return, as _drift_trace does, the drifts from
+    mu0 and the final measure of the span's sites off..off + len(mu0) - 1,
+    the compared sites.  Only a ring over a whole cycle ``wraps`` round its
+    seam: any other keeps zeros where no matmul writes, cleared in every
+    slot before it starts and in step 0's slot once step 0 is spent.
 
     Steps are reduced a block at a time: one einsum over the block's slots
     gives each step's measure, the sum of squares of its six rows, and one
-    pass gives its drift, the max of |mu_k - mu_0| over the sites step k
-    cannot reach from a window's edge.  A block holds at most BUDGET bytes
-    of states.  Two such arrays form a ring: blocks alternate between them,
-    the last slot of one feeding the first slot of the next.  At large N a
-    block is one step, and they are two arrays, not one buffer, so that none
-    is larger than a state: glibc's malloc raises its mmap threshold to the
-    largest block it has unmapped, so each array reuses heap memory that
-    freed states left, while a 2-state buffer is mapped afresh and raised
-    the peak RSS of one Fourier verify at N = 99 999 from 48.7 to 53.3 MB.
+    pass its drift, the max of |mu_k - mu_0| over the compared sites; where
+    ``distance`` gives their distances from a window's nearer edge, over
+    those k or more from it.  ``bufs`` are two arrays of a block of slots
+    that form the ring: blocks alternate between them, the last slot of one
+    feeding the first slot of the next.  At large N a block is one step,
+    and they are two arrays, not one buffer, so that none is larger than a
+    state: glibc's malloc raises its mmap threshold to the largest block it
+    has unmapped, so each array reuses heap memory that freed states left,
+    while a 2-state buffer is mapped afresh and raised the peak RSS of one
+    Fourier verify at N = 99 999 from 48.7 to 53.3 MB.
     """
-    n = amps.shape[0]
-    row = n + 2
-    if windowed:  # each site's distance from the nearer edge, 4 bytes a site
-        edge_distance = np.arange(n, dtype=np.int32)
-        np.minimum(edge_distance, edge_distance[::-1], out=edge_distance)
-    block = max(1, min(n_steps, BUDGET // (48 * n)))
-    halves = [_slots(np.zeros((block, 6 * row + 3)), n) for _ in range(2)]
-    mu = np.empty((block, n))
-
-    def measure(states: np.ndarray) -> np.ndarray:
-        """Measures of a (count, 6, N) stack of states, in mu[:count]."""
-        return np.einsum("bij,bij->bj", states, states, out=mu[: len(states)])
-
-    x = halves[1][1][-1]  # step 0 sits in the last slot of the ring
-    x[0::2] = amps.real.T
-    x[1::2] = amps.imag.T
-    r = _real_form(a)
+    block, own = len(bufs[0]), len(mu0)
+    halves = [_slots(buf, span) for buf in bufs]
+    compared = [states[:, :, off : off + own] for _, states, *_ in halves]
+    if not wraps:
+        for _, _, left_edge, right_edge, *_ in halves:
+            left_edge[...] = right_edge[...] = 0.0
+    mu = np.empty((block, own))  # the measures of a block's steps
+    x = halves[1][1][-1]
+    _gather(x, amps, start)
     drifts = np.empty(n_steps)
     for k0 in range(0, n_steps, block):
         count = min(block, n_steps - k0)
-        out, state, left_edge, right_edge, left_ghost, right_ghost = halves[k0 // block % 2]
+        half = k0 // block % 2
+        out, state, left_edge, right_edge, left_ghost, right_ghost = halves[half]
         for slot, y, nxt in zip(range(count), out, state):
             np.matmul(r, x, out=y)
-            if not windowed:  # the two values that wrap round the seam
+            if wraps:  # the two values that wrap round the seam
                 left_edge[slot] = left_ghost[slot]
                 right_edge[slot] = right_ghost[slot]
             x = nxt
         if k0 == 0:  # step 0 is spent: clear the cells of its slot no matmul writes
             halves[1][2][-1] = halves[1][3][-1] = 0.0
-        d = measure(state[:count])
+        rows = compared[half][:count]
+        d = np.einsum("bij,bij->bj", rows, rows, out=mu[:count])
         np.subtract(d, mu0, out=d)
         np.abs(d, out=d)
-        if windowed:  # step k is compared on the sites k or more from an edge
-            inside = np.less_equal.outer(np.arange(k0 + 1, k0 + count + 1), edge_distance)
+        if distance is not None:  # step k is compared on the sites k or more from an edge
+            inside = np.less_equal.outer(np.arange(k0 + 1, k0 + count + 1, dtype=np.int32), distance)
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count], where=inside, initial=0.0)
         else:
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count])
-    return drifts, measure(x[None])[0]
+    x = x[None, :, off : off + own]
+    return drifts, np.einsum("bij,bij->bj", x, x, out=mu[:1])[0]
 
 
 def _tile_width(n_steps: int) -> int:
@@ -356,46 +368,32 @@ def _tile_width(n_steps: int) -> int:
 
 
 def _tile_trace(
-    a: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, width: int
+    r: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, width: int, distance: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_drift_trace on a cycle, in tiles of ``width`` sites (the last one
-    shorter) that each evolve alone.
+    """_drift_trace in tiles of ``width`` sites (the last one shorter),
+    each a run of the ring (_ring_trace) in two one-step slots that every
+    tile reuses.
 
-    A tile evolves its own sites with n_steps sites on each side, gathered
-    with wrap, in two slots (see _slots) that alternate.  A step moves
-    amplitude one site, so after k <= n_steps steps the tile's own sites
-    are those of the whole cycle, bit for bit: what the two ends of the
-    slot hold, the step-0 values or an earlier tile's in the cells no
-    matmul writes, never reaches them.  Measures and drifts are taken on
-    the own sites only, and each step's drift is the max over tiles, NaN if
-    any tile's is.  The final measure of each tile's own sites is written
-    in place.
+    A tile evolves its own sites with n_steps sites on each side, wrapping
+    round a cycle and clipped at a window's edges, where the ring keeps
+    zeros as the window does: a zero halo past an edge would let amplitude
+    that left the window come back.  A step moves amplitude one site, so
+    after k <= n_steps steps the tile's own sites are those of the whole
+    state, bit for bit.  Only a clipped tile holds sites a step can reach
+    from an edge.  Each step's drift is the max over tiles, NaN if any
+    tile's is; the final measure of the own sites is written in place.
     """
     n = amps.shape[0]
     halo = n_steps
-    buf = np.zeros((2, 6 * (width + 2 * halo + 2) + 3))
-    r = _real_form(a)
-    mu = np.empty(n)  # the measure of the step last taken, on the tiles done
-    d = np.empty(width)
+    bufs = [np.zeros((1, 6 * (width + 2 * halo + 2) + 3)) for _ in range(2)]
+    mu = np.empty(n)
     drifts = np.zeros(n_steps)  # drifts are >= 0 or NaN, which maximum keeps
-    tile_drifts = np.empty(n_steps)
     for first in range(0, n, width):
-        own = min(width, n - first)
-        span = own + 2 * halo
-        out, state = _slots(buf, span)[:2]
-        x = state[0]
-        _gather(x, amps, first - halo)
-        m = mu[first : first + own]
-        base = mu0[first : first + own]
-        dk = d[:own]
-        for k in range(1, n_steps + 1):  # step k goes to slot k % 2
-            np.matmul(r, x, out=out[k % 2])
-            x = state[k % 2]
-            own_rows = x[:, halo : halo + own]
-            np.einsum("ij,ij->j", own_rows, own_rows, out=m)
-            np.subtract(m, base, out=dk)
-            np.abs(dk, out=dk)
-            tile_drifts[k - 1] = dk.max()
+        own = slice(first, min(first + width, n))
+        lo, hi, edge = first - halo, own.stop + halo, None
+        if distance is not None and (lo < 0 or hi > n):  # a window's tile ends at its edges
+            lo, hi, edge = max(lo, 0), min(hi, n), distance[own]
+        tile_drifts, mu[own] = _ring_trace(r, amps, mu0[own], n_steps, bufs, lo, hi - lo, False, first - lo, edge)
         np.maximum(drifts, tile_drifts, out=drifts)
     return drifts, mu
 

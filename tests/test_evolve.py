@@ -872,16 +872,22 @@ TILE_COINS = [
 
 
 class TestTiles:
-    """Cycles from TILES_FROM sites evolve in tiles, which must give the
+    """States from TILES_FROM sites evolve in tiles, which must give the
     ring's drifts and final measure bit for bit."""
 
     @staticmethod
     def both(coin, state, n_steps):
+        # the kernel with the crossover moved above the state (the ring) and
+        # down to 0 (tiles, wherever there are two of them)
+        assert state.topology.n_sites >= 2 * evolve._tile_width(n_steps)  # two tiles or more
         mu0 = state._weights()
-        ring = evolve._ring_trace(coin.matrix, state.amplitudes, mu0, n_steps, False)
-        width = evolve._tile_width(n_steps)
-        tiles = evolve._tile_trace(coin.matrix, state.amplitudes, mu0, n_steps, width)
-        return ring, tiles
+        windowed = isinstance(state.topology, Window)
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for tiles_from in (state.topology.n_sites + 1, 0):
+                patch.setattr(evolve, "TILES_FROM", tiles_from)
+                runs.append(evolve._drift_trace(coin.matrix, state.amplitudes, mu0, n_steps, windowed))
+        return runs
 
     @pytest.mark.parametrize("coin", TILE_COINS)
     @pytest.mark.parametrize(
@@ -909,11 +915,13 @@ class TestTiles:
         [
             (Cycle(CROSSOVER - 1), False),
             (Cycle(CROSSOVER), True),
-            (Window(CROSSOVER), False),  # windows stay on the ring
+            (Window(CROSSOVER // 2 - 1), False),  # 2 W + 1 sites
+            (Window(CROSSOVER // 2), True),
+            (Window(CROSSOVER), True),
         ],
-        ids=["below", "at", "window"],
+        ids=["below", "at", "window-below", "window-at", "window"],
     )
-    def test_cycles_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
+    def test_states_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
         calls = []
         tile_trace = evolve._tile_trace
 
@@ -925,6 +933,59 @@ class TestTiles:
         state = random_state(topology, np.random.default_rng(1))
         verify_stationary(grover(), state, 3)
         assert len(calls) == tiles
+
+    @pytest.mark.parametrize(
+        ("half_width", "n_steps"),
+        [
+            pytest.param(CROSSOVER // 2 - 1, 100, id="23999-sites"),
+            pytest.param(CROSSOVER // 2, 100, id="24001-sites"),
+            pytest.param(50_000, 100, id="100001-partial-tile"),
+            pytest.param(CROSSOVER // 2, 600, id="600-steps"),
+        ],
+    )
+    def test_windows_match_the_ring_bit_for_bit(self, half_width, n_steps):
+        # a window's first and last tiles end at its edges, and its last tile
+        # is shorter than the one before: drifts never see those edges, but
+        # the final measure, and so the leaked norm, must be the ring's too
+        topology = Window(half_width)
+        assert topology.n_sites % evolve._tile_width(n_steps) != 0
+        rng = np.random.default_rng(half_width + n_steps)
+        state = random_state(topology, rng)
+        assert state.amplitudes[0, 2] != 0 and state.amplitudes[-1, 0] != 0
+        (ring_drifts, ring_mu), (drifts, mu) = self.both(random_coin(rng), state, n_steps)
+        assert drifts.tobytes() == ring_drifts.tobytes()
+        assert mu.tobytes() == ring_mu.tobytes()
+
+    @pytest.mark.parametrize("topology", [Cycle(2 * evolve.TILE + 51), Window(evolve.TILE + 25)],
+                             ids=["cycle", "window"])
+    def test_a_last_tile_shorter_than_its_halo(self, topology):
+        # the tile before it reaches past the state's end too: it wraps on a
+        # cycle and is clipped on a window, where it still compares its last
+        # sites only while no step can reach them from the edge
+        assert topology.n_sites % evolve.TILE == 51
+        rng = np.random.default_rng(51)
+        state = random_state(topology, rng)
+        (ring_drifts, ring_mu), (drifts, mu) = self.both(random_coin(rng), state, 100)
+        assert drifts.tobytes() == ring_drifts.tobytes()
+        assert mu.tobytes() == ring_mu.tobytes()
+
+    @pytest.mark.parametrize("site", [0, -1], ids=["first-site", "last-site"])
+    def test_nan_on_a_window_edge(self, site):
+        # the NaN moves one site inwards per step, onto the first site each
+        # step compares, in the first or the last tile
+        topology = Window(CROSSOVER // 2)
+        rng = np.random.default_rng(37)
+        coin = random_coin(rng)
+        amps = random_state(topology, rng).amplitudes.copy()
+        amps[site] = np.nan
+        state = WaveState(topology, amps)
+        (ring_drifts, ring_mu), (drifts, mu) = self.both(coin, state, 5)
+        want, _ = step_loop_drifts(coin, state, 5)
+        assert np.isnan(want).all() and np.isnan(ring_drifts).all() and np.isnan(drifts).all()
+        assert np.array_equal(mu, ring_mu, equal_nan=True)
+        report = verify_stationary(coin, state, 5)
+        assert np.isnan(report.max_measure_drift) and report.worst_step == 1
+        assert np.isnan(report.leaked_norm) and not report.passed
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["last-own-site", "first-own-site"])
     def test_defect_on_a_seam(self, offset):
@@ -979,4 +1040,22 @@ class TestTiles:
             tracemalloc.stop()
         width = evolve._tile_width(n_steps)
         assert peak <= 2 * 48 * (width + 2 * n_steps + 3) + 8 * width + 8 * n + 64 * 1024
+        assert peak < state.amplitudes.nbytes / 2
+
+    def test_memory_of_a_window(self):
+        # as on a cycle, and each site's distance from the nearer edge, 4
+        # bytes a site of the window
+        half_width, n_steps = 50_000, 100
+        state = random_state(Window(half_width), np.random.default_rng(4))
+        n = state.topology.n_sites
+        mu0 = state._weights()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            evolve._drift_trace(grover().matrix, state.amplitudes, mu0, n_steps, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = evolve._tile_width(n_steps)
+        assert peak <= 2 * 48 * (width + 2 * n_steps + 3) + 8 * width + 12 * n + 64 * 1024
         assert peak < state.amplitudes.nbytes / 2

@@ -137,8 +137,8 @@ MUTANTS = [
     Mutant("leaked-not-clamped", "evolve.py", "leaked = float(np.maximum(norm0 - norm, 0.0))",
            "leaked = float(abs(norm0 - norm))",
            (f"{EVOLVE}::TestVerifyStationary::test_a_cycle_leaks_nothing_when_its_norm_rounds_up",)),
-    Mutant("window-mask-off-by-one", "evolve.py", "np.arange(k0 + 1, k0 + count + 1)",
-           "np.arange(k0, k0 + count)", (f"{EVOLVE}::TestRing::test_matches_step_loop",)),
+    Mutant("window-mask-off-by-one", "evolve.py", "np.arange(k0 + 1, k0 + count + 1, dtype",
+           "np.arange(k0, k0 + count, dtype", (f"{EVOLVE}::TestRing::test_matches_step_loop",)),
     # step and the kernel's ring
     Mutant("step-window-zero-fill-dropped", "evolve.py", "out[-1, 0] = moved[0] if cyclic else 0.0",
            "out[-1, 0] = moved[0]", (f"{EVOLVE}::TestStep",)),
@@ -150,13 +150,21 @@ MUTANTS = [
            "left_edge[slot] = left_ghost[slot]\n                right_edge[slot] = right_ghost[slot]",
            "left_edge[slot] = right_ghost[slot]\n                right_edge[slot] = left_ghost[slot]",
            (f"{EVOLVE}::TestRing::test_matches_step_loop",)),
-    Mutant("ring-one-array", "evolve.py", "halves[k0 // block % 2]", "halves[0]",
+    Mutant("ring-one-array", "evolve.py", "half = k0 // block % 2", "half = 0",
            (f"{EVOLVE}::TestRing",)),
-    # the tiles of large cycles: a halo of n_steps sites, and a merge that keeps a NaN
+    # the tiles of large states: a halo of n_steps sites, and a merge that keeps a NaN
     Mutant("tile-halo-one-short", "evolve.py", "halo = n_steps", "halo = n_steps - 1",
            (f"{EVOLVE}::TestTiles",)),
     Mutant("tile-drift-merge-fmax", "evolve.py", "np.maximum(drifts, tile_drifts, out=drifts)",
            "np.fmax(drifts, tile_drifts, out=drifts)", (f"{EVOLVE}::TestTiles::test_nan_on_a_seam",)),
+    # a tile that reaches a window's edge ends there, and a tile's slots hold no stale edge cells:
+    # neither changes a drift, only the final measure near the edges
+    Mutant("window-tile-not-clipped", "evolve.py", "lo, hi, edge = max(lo, 0), min(hi, n), distance[own]",
+           "edge = distance[own]", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
+    Mutant("window-tile-clipped-at-the-ends-only", "evolve.py", "(lo < 0 or hi > n)", "(lo < 0 or own.stop == n)",
+           (f"{EVOLVE}::TestTiles::test_a_last_tile_shorter_than_its_halo",)),
+    Mutant("tile-edge-cells-not-cleared", "evolve.py", "    if not wraps:\n        for _, _, left_edge",
+           "    if False:\n        for _, _, left_edge", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("cone-not-wrapping", "evolve.py", "ring = np.concatenate((near[-1:], near, near[:1]))",
            "ring = np.concatenate((near[:1], near, near[-1:]))",
            (f"{EVOLVE}::TestEigenResidual::test_relative_site_by_site",)),
