@@ -891,8 +891,8 @@ class TestTiles:
 
     @pytest.mark.parametrize("coin", TILE_COINS)
     @pytest.mark.parametrize(
-        "n", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 99_999, 300_000],
-        ids=["crossover-1", "crossover", "crossover+1", "99999-partial-tile", "300000"],
+        "n", [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 99_999, 300_000, 2 * evolve.TILE + 51],
+        ids=["crossover-1", "crossover", "crossover+1", "99999-partial-tile", "300000", "last-tile-in-a-halo"],
     )
     def test_match_the_ring_bit_for_bit(self, coin, n):
         assert n % evolve.TILE != 0  # a partial last tile at every size
@@ -941,31 +941,21 @@ class TestTiles:
             pytest.param(CROSSOVER // 2, 100, id="24001-sites"),
             pytest.param(50_000, 100, id="100001-partial-tile"),
             pytest.param(CROSSOVER // 2, 600, id="600-steps"),
+            pytest.param(evolve.TILE + 25, 100, id="last-tile-in-a-halo"),
         ],
     )
     def test_windows_match_the_ring_bit_for_bit(self, half_width, n_steps):
         # a window's first and last tiles end at its edges, and its last tile
-        # is shorter than the one before: drifts never see those edges, but
-        # the final measure, and so the leaked norm, must be the ring's too
+        # is shorter than the one before; one of 51 sites, inside the halo of
+        # the tile before, makes that one reach the edge too.  Drifts never
+        # see those edges, but the final measure, and so the leaked norm,
+        # must be the ring's too
         topology = Window(half_width)
         assert topology.n_sites % evolve._tile_width(n_steps) != 0
         rng = np.random.default_rng(half_width + n_steps)
         state = random_state(topology, rng)
         assert state.amplitudes[0, 2] != 0 and state.amplitudes[-1, 0] != 0
         (ring_drifts, ring_mu), (drifts, mu) = self.both(random_coin(rng), state, n_steps)
-        assert drifts.tobytes() == ring_drifts.tobytes()
-        assert mu.tobytes() == ring_mu.tobytes()
-
-    @pytest.mark.parametrize("topology", [Cycle(2 * evolve.TILE + 51), Window(evolve.TILE + 25)],
-                             ids=["cycle", "window"])
-    def test_a_last_tile_shorter_than_its_halo(self, topology):
-        # the tile before it reaches past the state's end too: it wraps on a
-        # cycle and is clipped on a window, where it still compares its last
-        # sites only while no step can reach them from the edge
-        assert topology.n_sites % evolve.TILE == 51
-        rng = np.random.default_rng(51)
-        state = random_state(topology, rng)
-        (ring_drifts, ring_mu), (drifts, mu) = self.both(random_coin(rng), state, 100)
         assert drifts.tobytes() == ring_drifts.tobytes()
         assert mu.tobytes() == ring_mu.tobytes()
 

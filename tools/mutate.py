@@ -162,7 +162,7 @@ MUTANTS = [
     Mutant("window-tile-not-clipped", "evolve.py", "lo, hi, edge = max(lo, 0), min(hi, n), distance[own]",
            "edge = distance[own]", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("window-tile-clipped-at-the-ends-only", "evolve.py", "(lo < 0 or hi > n)", "(lo < 0 or own.stop == n)",
-           (f"{EVOLVE}::TestTiles::test_a_last_tile_shorter_than_its_halo",)),
+           (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("tile-edge-cells-not-cleared", "evolve.py", "    if not wraps:\n        for _, _, left_edge",
            "    if False:\n        for _, _, left_edge", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("cone-not-wrapping", "evolve.py", "ring = np.concatenate((near[-1:], near, near[:1]))",
