@@ -921,7 +921,7 @@ class TestTiles:
         ],
         ids=["below", "at", "window-below", "window-at", "window"],
     )
-    def test_states_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
+    def test_cycles_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
         calls = []
         tile_trace = evolve._tile_trace
 
