@@ -18,9 +18,10 @@ row.  A step is one real matmul of the coin's 6x6 real form that writes
 channel c of A x c - 1 sites to the right, which applies the shifts
 without copying.  The steps run in a ring of slots whose measures and
 drifts are reduced once per block of steps, as many states as fit in
-``BUDGET`` bytes.  A state of ``TILES_FROM`` sites or more runs in tiles
-small enough to stay in cache, each a run of the same ring over its own
-sites and a halo as wide as the run is long, clipped at a window's edges.
+``BUDGET`` bytes.  The kernel runs one ring per span of the state: a
+state of fewer than ``TILES_FROM`` sites is one span, a larger one is cut
+into tiles small enough to stay in cache, each its own sites and a halo as
+wide as the run is long, clipped at a window's edges.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .tolerance import DRIFT_TOL, MIN_SCALE
 
 __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 
-# Bytes of step states one block of _drift_trace may hold (48 per site):
-# small states run many steps per reduction, large ones one.  On a 2-core
+# Bytes of step states one block of a span's ring may hold (48 per site):
+# a small state, one span, runs many steps per reduction; a large one or a
+# tile runs one.  On a 2-core
 # Xeon, budgets below 128 KiB were slower at N = 401.  Bare _ring_trace
 # loops took 0.76-0.81x the time with 384-768 KiB at N = 401, 1001 (windows)
 # and 2000 (a cycle), and 1.39x with 1 MiB at N = 401; cli_small's commands
@@ -47,7 +49,7 @@ __all__ = ["step", "eigen_residual", "StationarityReport", "verify_stationary"]
 BUDGET = 128 * 1024
 
 # States of at least TILES_FROM sites evolve in tiles that own TILE sites
-# or more (see _tile_trace), smaller ones in one ring.  Timed with Grover
+# or more (see _drift_trace), smaller ones in one ring.  Timed with Grover
 # and 100 steps on a 2-core Xeon with 2 MiB of L2 per core: the ring took
 # 14.4, 18.9, 25.0, 94.9 and 365 ms at N = 20 001, 24 000, 30 003, 99 999
 # and 300 000, tiles of 8192 sites 14.1, 15.6, 20.3, 78.4 and 212 ms;
@@ -252,23 +254,41 @@ def _drift_trace(
     does, so that mu0 may be the state's weights: a step that only moves
     amplitudes leaves them unchanged bit for bit.
 
-    A state of at least TILES_FROM sites, and of two tiles or more, runs
-    in tiles (_tile_trace), whose working set stays in cache; a smaller
-    one in one ring (_ring_trace) over all its sites.  Each tile is a run
-    of the same ring, and both give the same bits.
+    The state is cut into spans, each a run of the ring (_ring_trace) in
+    the same two slot buffers.  A state of fewer than TILES_FROM sites, or
+    of fewer than two tiles, is one span with no halo.  A larger one runs
+    in tiles, whose working set stays in cache: each owns _tile_width
+    sites (the last one fewer) and evolves them with a halo of n_steps
+    sites on each side, wrapped round a cycle and clipped at a window's
+    edges, where the ring keeps zeros as the window does: a zero halo past
+    an edge would let amplitude that left the window come back.  A step
+    moves amplitude one site, so after k <= n_steps steps a tile's own
+    sites are those of the whole state, bit for bit.  Only a span that
+    reaches a window's edge holds sites a step can reach from it, so only
+    such a span computes its own sites' distances from the nearer edge.
+    Each step's drift is the max over spans, NaN if any span's is; each
+    span writes the final measure of its own sites in place.
     """
     n = amps.shape[0]
     r = _real_form(a)
-    distance = None
-    if windowed:  # each site's distance from the nearer edge, 4 bytes a site
-        distance = np.arange(n, dtype=np.int32)
-        np.minimum(distance, distance[::-1], out=distance)
-    width = _tile_width(n_steps)
-    if n >= max(TILES_FROM, 2 * width):
-        return _tile_trace(r, amps, mu0, n_steps, width, distance)
-    block = max(1, min(n_steps, BUDGET // (48 * n)))
-    bufs = [np.zeros((block, 6 * (n + 2) + 3)) for _ in range(2)]
-    return _ring_trace(r, amps, mu0, n_steps, bufs, 0, n, not windowed, 0, distance)
+    width, halo = _tile_width(n_steps), n_steps
+    if n < max(TILES_FROM, 2 * width):
+        width, halo = n, 0
+    block = max(1, min(n_steps, BUDGET // (48 * (width + 2 * halo))))
+    bufs = [np.zeros((block, 6 * (width + 2 * halo + 2) + 3)) for _ in range(2)]
+    mu = np.empty(n)
+    drifts = None
+    for first in range(0, n, width):
+        own = slice(first, min(first + width, n))
+        lo, hi, edge = first - halo, own.stop + halo, None
+        if windowed and (halo == 0 or lo < 0 or hi > n):  # a span that reaches a window's edge ends there
+            lo, hi = max(lo, 0), min(hi, n)
+            edge = np.arange(first, own.stop, dtype=np.int32)
+            np.minimum(edge, n - 1 - edge, out=edge)
+        span_drifts = _ring_trace(r, amps, mu0[own], n_steps, bufs, lo, hi - lo, first - lo, edge, mu[own])
+        # drifts are >= 0 or NaN, which maximum keeps
+        drifts = span_drifts if drifts is None else np.maximum(drifts, span_drifts, out=drifts)
+    return drifts, mu
 
 
 def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -303,13 +323,14 @@ def _slots(buf: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 def _ring_trace(
     r: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, bufs: list[np.ndarray],
-    start: int, span: int, wraps: bool, off: int, distance: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
+    start: int, span: int, off: int, distance: np.ndarray | None, mu: np.ndarray,
+) -> np.ndarray:
     """Evolve sites start..start + span - 1 of amps (see _gather) with the
     coin's real form r, every step in its own slot (see _slots) of a ring,
     step 0 in the last slot; return, as _drift_trace does, the drifts from
-    mu0 and the final measure of the span's sites off..off + len(mu0) - 1,
-    the compared sites.  Only a ring over a whole cycle ``wraps`` round its
+    mu0 of the span's sites off..off + len(mu0) - 1, the compared sites,
+    and write their final measure into mu.  Only a span that covers the
+    whole state and has no ``distance`` (an untiled cycle) wraps round its
     seam: any other keeps zeros where no matmul writes, cleared in every
     slot before it starts and in step 0's slot once step 0 is spent.
 
@@ -317,7 +338,9 @@ def _ring_trace(
     gives each step's measure, the sum of squares of its six rows, and one
     pass its drift, the max of |mu_k - mu_0| over the compared sites; where
     ``distance`` gives their distances from a window's nearer edge, over
-    those k or more from it.  ``bufs`` are two arrays of a block of slots
+    those k or more from it.  A block of one step measures into mu, which
+    the last step overwrites, so that a large state holds no second array
+    of its measure.  ``bufs`` are two arrays of a block of slots
     that form the ring: blocks alternate between them, the last slot of one
     feeding the first slot of the next.  At large N a block is one step,
     and they are two arrays, not one buffer, so that none is larger than a
@@ -327,12 +350,13 @@ def _ring_trace(
     Fourier verify at N = 99 999 from 48.7 to 53.3 MB.
     """
     block, own = len(bufs[0]), len(mu0)
+    wraps = span == amps.shape[0] and distance is None
     halves = [_slots(buf, span) for buf in bufs]
     compared = [states[:, :, off : off + own] for _, states, *_ in halves]
     if not wraps:
         for _, _, left_edge, right_edge, *_ in halves:
             left_edge[...] = right_edge[...] = 0.0
-    mu = np.empty((block, own))  # the measures of a block's steps
+    measures = mu[None] if block == 1 else np.empty((block, own))  # of a block's steps
     x = halves[1][1][-1]
     _gather(x, amps, start)
     drifts = np.empty(n_steps)
@@ -349,7 +373,7 @@ def _ring_trace(
         if k0 == 0:  # step 0 is spent: clear the cells of its slot no matmul writes
             halves[1][2][-1] = halves[1][3][-1] = 0.0
         rows = compared[half][:count]
-        d = np.einsum("bij,bij->bj", rows, rows, out=mu[:count])
+        d = np.einsum("bij,bij->bj", rows, rows, out=measures[:count])
         np.subtract(d, mu0, out=d)
         np.abs(d, out=d)
         if distance is not None:  # step k is compared on the sites k or more from an edge
@@ -358,44 +382,14 @@ def _ring_trace(
         else:
             np.maximum.reduce(d, axis=1, out=drifts[k0 : k0 + count])
     x = x[None, :, off : off + own]
-    return drifts, np.einsum("bij,bij->bj", x, x, out=mu[:1])[0]
+    np.einsum("bij,bij->bj", x, x, out=mu[None])
+    return drifts
 
 
 def _tile_width(n_steps: int) -> int:
     """Sites a tile owns: TILE, or more where its halos, 2 n_steps sites,
     would cost more than an eighth of its work."""
     return max(TILE, 16 * n_steps)
-
-
-def _tile_trace(
-    r: np.ndarray, amps: np.ndarray, mu0: np.ndarray, n_steps: int, width: int, distance: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """_drift_trace in tiles of ``width`` sites (the last one shorter),
-    each a run of the ring (_ring_trace) in two one-step slots that every
-    tile reuses.
-
-    A tile evolves its own sites with n_steps sites on each side, wrapping
-    round a cycle and clipped at a window's edges, where the ring keeps
-    zeros as the window does: a zero halo past an edge would let amplitude
-    that left the window come back.  A step moves amplitude one site, so
-    after k <= n_steps steps the tile's own sites are those of the whole
-    state, bit for bit.  Only a clipped tile holds sites a step can reach
-    from an edge.  Each step's drift is the max over tiles, NaN if any
-    tile's is; the final measure of the own sites is written in place.
-    """
-    n = amps.shape[0]
-    halo = n_steps
-    bufs = [np.zeros((1, 6 * (width + 2 * halo + 2) + 3)) for _ in range(2)]
-    mu = np.empty(n)
-    drifts = np.zeros(n_steps)  # drifts are >= 0 or NaN, which maximum keeps
-    for first in range(0, n, width):
-        own = slice(first, min(first + width, n))
-        lo, hi, edge = first - halo, own.stop + halo, None
-        if distance is not None and (lo < 0 or hi > n):  # a window's tile ends at its edges
-            lo, hi, edge = max(lo, 0), min(hi, n), distance[own]
-        tile_drifts, mu[own] = _ring_trace(r, amps, mu0[own], n_steps, bufs, lo, hi - lo, False, first - lo, edge)
-        np.maximum(drifts, tile_drifts, out=drifts)
-    return drifts, mu
 
 
 def _gather(x: np.ndarray, amps: np.ndarray, start: int) -> None:

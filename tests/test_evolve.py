@@ -922,17 +922,18 @@ class TestTiles:
         ids=["below", "at", "window-below", "window-at", "window"],
     )
     def test_cycles_from_the_crossover_run_in_tiles(self, monkeypatch, topology, tiles):
+        # one run of the ring for each span: more than one means tiles
         calls = []
-        tile_trace = evolve._tile_trace
+        ring_trace = evolve._ring_trace
 
         def spying(*args):
             calls.append(args)
-            return tile_trace(*args)
+            return ring_trace(*args)
 
-        monkeypatch.setattr(evolve, "_tile_trace", spying)
+        monkeypatch.setattr(evolve, "_ring_trace", spying)
         state = random_state(topology, np.random.default_rng(1))
         verify_stationary(grover(), state, 3)
-        assert len(calls) == tiles
+        assert (len(calls) > 1) == tiles
 
     @pytest.mark.parametrize(
         ("half_width", "n_steps"),
@@ -1015,9 +1016,10 @@ class TestTiles:
         assert np.isnan(report.max_measure_drift) and report.worst_step == 1
 
     def test_memory(self):
-        # two slots of a tile and its halos, 48 bytes a site each, the tile's
-        # drifts of 8 bytes a site and the final measure of 8 bytes a site of
-        # the cycle: no array as large as a state
+        # two slots of a tile and its halos, 48 bytes a site each, 8 bytes a
+        # site of a tile (on a window, an edge tile's distances and their
+        # mask) and the final measure of 8 bytes a site of the state: no
+        # array as large as a state
         n, n_steps = 99_999, 100
         state = random_state(Cycle(n), np.random.default_rng(4))
         mu0 = state._weights()
@@ -1033,8 +1035,8 @@ class TestTiles:
         assert peak < state.amplitudes.nbytes / 2
 
     def test_memory_of_a_window(self):
-        # as on a cycle, and each site's distance from the nearer edge, 4
-        # bytes a site of the window
+        # as on a cycle: only the tiles at the edges hold their own sites'
+        # distances from the nearer edge, no array of the window's size
         half_width, n_steps = 50_000, 100
         state = random_state(Window(half_width), np.random.default_rng(4))
         n = state.topology.n_sites
@@ -1047,5 +1049,5 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         width = evolve._tile_width(n_steps)
-        assert peak <= 2 * 48 * (width + 2 * n_steps + 3) + 8 * width + 12 * n + 64 * 1024
+        assert peak <= 2 * 48 * (width + 2 * n_steps + 3) + 8 * width + 8 * n + 64 * 1024
         assert peak < state.amplitudes.nbytes / 2

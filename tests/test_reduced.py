@@ -26,7 +26,7 @@ from qwstat import (
     type1_params,
     type2_params,
 )
-from qwstat.tolerance import RTOL
+from qwstat.tolerance import RTOL, ZERO_ENTRY_TOL
 
 OMEGA = cmath.exp(2j * cmath.pi / 3)
 
@@ -89,6 +89,20 @@ class TestReducedMatrix:
                 classify(coin)
             except QWalkError as exc:
                 assert not isinstance(exc, ZeroEntry)
+
+    def test_entry_of_modulus_exactly_zero_entry_tol_is_zero(self):
+        # two Givens turns leave a31 exactly 0; set to ZERO_ENTRY_TOL it is
+        # still a coin (7.7e-15 off unitary) and counts as zero, one ulp
+        # above it is in scope and classified, and fails there
+        m = rotation(0, 1, 0.7) @ rotation(1, 2, 1.1)
+        assert m[2, 0] == 0
+        m[2, 0] = ZERO_ENTRY_TOL
+        with pytest.raises(ZeroEntry) as exc:
+            type1_params(make_coin(m))
+        assert (exc.value.row, exc.value.col) == (3, 1)
+        m[2, 0] = np.nextafter(ZERO_ENTRY_TOL, 1.0)
+        with pytest.raises(InconsistentLambda):
+            type1_params(make_coin(m))
 
     def test_central_reflection_rejected(self):
         # tiny rotations leave |a22| within 1e-10 of 1 while keeping

@@ -68,6 +68,15 @@ MUTANTS = [
     # raises dropped
     Mutant("non-unitary-dropped", "coin.py", "raise NonUnitary(dev, UNITARITY_TOL)", "pass",
            ("tests/test_coin.py::TestMakeCoin",)),
+    Mutant("zero-entry-exclusive", "reduced.py", "if abs(a[i, j]) <= ZERO_ENTRY_TOL:",
+           "if abs(a[i, j]) < ZERO_ENTRY_TOL:",
+           (f"{REDUCED}::TestReducedMatrix::test_entry_of_modulus_exactly_zero_entry_tol_is_zero",)),
+    # |x| - 1.0 cannot equal RTOL (see EQUIVALENT)
+    Mutant("unimodular-bound-inclusive", "reduced.py", "if abs(abs(lam) - 1.0) > RTOL:",
+           "if abs(abs(lam) - 1.0) >= RTOL:",
+           (f"{REDUCED}::TestPaperFormulas::test_unimodular_check_fires_where_the_candidates_agree",)),
+    Mutant("central-reflection-bound-exclusive", "reduced.py", "if abs(abs(a[1, 1]) - 1.0) <= RTOL:",
+           "if abs(abs(a[1, 1]) - 1.0) < RTOL:", (f"{REDUCED}::TestReducedMatrix::test_central_reflection_rejected",)),
     Mutant("central-reflection-dropped", "reduced.py", "raise CentralReflection(abs(a[1, 1]))", "pass",
            (f"{REDUCED}::TestReducedMatrix",)),
     Mutant("no-cycle-closure-dropped", "stationary.py", "raise NoCycleClosure(n, momentum, mismatch)",
@@ -153,18 +162,25 @@ MUTANTS = [
     Mutant("ring-one-array", "evolve.py", "half = k0 // block % 2", "half = 0",
            (f"{EVOLVE}::TestRing",)),
     # the tiles of large states: a halo of n_steps sites, and a merge that keeps a NaN
-    Mutant("tile-halo-one-short", "evolve.py", "halo = n_steps", "halo = n_steps - 1",
+    Mutant("tile-halo-one-short", "evolve.py", "_tile_width(n_steps), n_steps", "_tile_width(n_steps), n_steps - 1",
            (f"{EVOLVE}::TestTiles",)),
-    Mutant("tile-drift-merge-fmax", "evolve.py", "np.maximum(drifts, tile_drifts, out=drifts)",
-           "np.fmax(drifts, tile_drifts, out=drifts)", (f"{EVOLVE}::TestTiles::test_nan_on_a_seam",)),
+    Mutant("tile-drift-merge-fmax", "evolve.py", "np.maximum(drifts, span_drifts, out=drifts)",
+           "np.fmax(drifts, span_drifts, out=drifts)", (f"{EVOLVE}::TestTiles::test_nan_on_a_seam",)),
+    # only an untiled cycle wraps; a cycle tile's halo hides what its ends do, so windows tell
+    Mutant("every-span-wraps", "evolve.py", "wraps = span == amps.shape[0] and distance is None", "wraps = True",
+           (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     # a tile that reaches a window's edge ends there, and a tile's slots hold no stale edge cells:
     # neither changes a drift, only the final measure near the edges
-    Mutant("window-tile-not-clipped", "evolve.py", "lo, hi, edge = max(lo, 0), min(hi, n), distance[own]",
-           "edge = distance[own]", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
-    Mutant("window-tile-clipped-at-the-ends-only", "evolve.py", "(lo < 0 or hi > n)", "(lo < 0 or own.stop == n)",
+    Mutant("window-tile-not-clipped", "evolve.py", "lo, hi = max(lo, 0), min(hi, n)", "pass",
+           (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
+    Mutant("window-tile-clipped-at-the-ends-only", "evolve.py", "lo < 0 or hi > n", "lo < 0 or own.stop == n",
            (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("tile-edge-cells-not-cleared", "evolve.py", "    if not wraps:\n        for _, _, left_edge",
            "    if False:\n        for _, _, left_edge", (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
+    # a span's own sites are masked by their distance from the window's edge, not the span's
+    Mutant("edge-distance-from-the-span", "evolve.py", "np.arange(first, own.stop, dtype=np.int32)",
+           "np.arange(first - lo, own.stop - lo, dtype=np.int32)",
+           (f"{EVOLVE}::TestTiles::test_windows_match_the_ring_bit_for_bit",)),
     Mutant("cone-not-wrapping", "evolve.py", "ring = np.concatenate((near[-1:], near, near[:1]))",
            "ring = np.concatenate((near[:1], near, near[-1:]))",
            (f"{EVOLVE}::TestEigenResidual::test_relative_site_by_site",)),
@@ -203,9 +219,14 @@ MUTANTS = [
            'rows = [f"{x},{v}\\n" for x, v in zip(xs, mus)]', (SERIALIZE,)),
 ]
 
+_NEVER_RTOL = ("|x| - 1.0 is exact (Sterbenz) where it can come near RTOL and is then a multiple of 2^-53, "
+               "and RTOL / 2^-53 is not an integer, so the difference never equals RTOL")
+
 # Mutants no test can kill, each with the reason it changes no result.
 EQUIVALENT = {
     "csv-str-not-repr": "str() of a Python float is its repr(), the shortest digits that round-trip",
+    "unimodular-bound-inclusive": _NEVER_RTOL,
+    "central-reflection-bound-exclusive": _NEVER_RTOL,
 }
 
 
